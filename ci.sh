@@ -208,4 +208,16 @@ for want in 'parse_errors=0' 'sheds-within-deadline held' \
 done
 echo "tcl-serve soak OK (keep-alive over real sockets + duplicate-Content-Length control)"
 
+echo "==> perfbench: the repo benchmark's package (fmt + clippy + library tests + smoke runs)"
+# perfbench/ is a package of its own (own [workspace] and Cargo.lock) that
+# calls the workspace's public API: SynapticOp::apply/synop_estimate, the
+# SpikingNode::Spiking(layer).op/.neurons fields, both engines and the
+# server. Building and testing it here makes an API change that breaks the
+# benchmark fail CI. Its tests are the library math plus a 1-s smoke run
+# per workload.
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+echo "perfbench OK"
+
 echo "CI OK"

@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use tcl_core::{Converter, NormStrategy};
 use tcl_models::{Architecture, ModelConfig};
 use tcl_nn::Mode;
-use tcl_snn::{IfNeurons, Readout, ResetMode, SimConfig};
+use tcl_snn::{IfNeurons, Readout, ResetMode, SimConfig, SynapticOp};
 use tcl_tensor::{ops, ops::ConvGeometry, par, simd, Histogram, Parallelism, SeededRng, Tensor};
 
 /// Records the measurement environment into the JSON `meta` block: the
@@ -176,6 +176,31 @@ fn bench_conv2d(c: &mut Criterion) {
     });
 }
 
+/// CNN-6's `256→128` fully connected synapse on a batch of 5 pooled-spike
+/// rows (multiples of 1/4, half of them nonzero, so the dense branch runs):
+/// the per-timestep call the stored weight panel exists for.
+fn bench_linear_synop(c: &mut Criterion) {
+    let mut rng = SeededRng::new(10);
+    let op = SynapticOp::linear(
+        rng.uniform_tensor([128, 256], -0.2, 0.2),
+        Some(rng.uniform_tensor([128], -0.1, 0.1)),
+    )
+    .unwrap();
+    let x: Vec<f32> = (0..5 * 256)
+        .map(|_| {
+            if rng.uniform(0.0, 1.0) < 0.5 {
+                (1 + rng.below(4)) as f32 * 0.25
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let x = Tensor::from_vec([5, 256], x).unwrap();
+    c.bench_function("linear_256x128_batch5", |bench| {
+        bench.iter(|| op.apply(black_box(&x)).unwrap())
+    });
+}
+
 fn bench_ann_forward(c: &mut Criterion) {
     let mut rng = SeededRng::new(3);
     let cfg = ModelConfig::new((3, 16, 16), 10)
@@ -307,6 +332,7 @@ criterion_group!(
         bench_matmul_kernels,
         bench_if_step,
         bench_conv2d,
+        bench_linear_synop,
         bench_ann_forward,
         bench_snn_step,
         bench_conversion,

@@ -41,7 +41,7 @@ fn dense_macs(op: &SynapticOp, input: &Tensor) -> u64 {
             let out_c = weight.dims()[0];
             (oh * ow * out_c * c * geom.kernel_h * geom.kernel_w) as u64
         }
-        SynapticOp::Linear { weight, .. } => weight.len() as u64,
+        SynapticOp::Linear(synapse) => synapse.panel().len() as u64,
     }
 }
 

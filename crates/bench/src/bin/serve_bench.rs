@@ -70,7 +70,7 @@ fn identity_net() -> SpikingNetwork {
     }
     let weight = Tensor::from_vec([FEATURES, FEATURES], weight).expect("identity weight");
     SpikingNetwork::new(vec![SpikingNode::Spiking(SpikingLayer::new(
-        SynapticOp::Linear { weight, bias: None },
+        SynapticOp::linear(weight, None).expect("identity layer"),
         IfNeurons::new(1.0, ResetMode::Subtract),
     ))])
 }

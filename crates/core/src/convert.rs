@@ -376,10 +376,10 @@ fn emit_spiking(folded: &Network, lambdas: &[f32], reset: ResetMode) -> Result<S
                     });
                 };
                 nodes.push(SpikingNode::Spiking(SpikingLayer::new(
-                    SynapticOp::Linear {
-                        weight: scaled(&linear.weight.value, lam_prev / lam),
-                        bias: linear.bias.as_ref().map(|b| b.value.scale(1.0 / lam)),
-                    },
+                    SynapticOp::linear(
+                        scaled(&linear.weight.value, lam_prev / lam),
+                        linear.bias.as_ref().map(|b| b.value.scale(1.0 / lam)),
+                    )?,
                     IfNeurons::new(1.0, reset),
                 )));
                 lam_prev = lam;

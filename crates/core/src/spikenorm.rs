@@ -58,10 +58,10 @@ fn emit_unnormalized(folded: &Network, reset: ResetMode) -> Result<Vec<SpikingNo
             }
             Layer::Linear(linear) => {
                 nodes.push(SpikingNode::Spiking(SpikingLayer::new(
-                    SynapticOp::Linear {
-                        weight: linear.weight.value.clone(),
-                        bias: linear.bias.as_ref().map(|b| b.value.clone()),
-                    },
+                    SynapticOp::linear(
+                        linear.weight.value.clone(),
+                        linear.bias.as_ref().map(|b| b.value.clone()),
+                    )?,
                     IfNeurons::new(1.0, reset),
                 )));
                 while matches!(
@@ -204,22 +204,6 @@ fn measure_bank(
     Ok(peak)
 }
 
-/// Scales the bias of one operator in place (biases must be divided by the
-/// cumulative threshold product of the preceding layers — the
-/// threshold-balancing analogue of Eq. 5's `b̂ = b/λ`. Without this the
-/// bias current is injected at full scale every timestep while the spike
-/// traffic is scaled down, which is exactly the bias-amplification problem
-/// Section 3.1 of the paper describes for bias-free conversion schemes).
-fn scale_bias(op: &mut SynapticOp, factor: f32) {
-    match op {
-        SynapticOp::Conv { bias, .. } | SynapticOp::Linear { bias, .. } => {
-            if let Some(b) = bias {
-                b.scale_inplace(factor);
-            }
-        }
-    }
-}
-
 /// Sets the threshold of one bank of node `k`.
 fn set_threshold(
     nodes: &mut [SpikingNode],
@@ -283,7 +267,12 @@ pub(crate) fn convert_spike_norm(
     let mut thresholds = Vec::new();
     // Cumulative product of balanced thresholds along the main path: the
     // incoming spike rates are scaled by 1/cum, so each bank's bias must be
-    // scaled likewise before its threshold is measured.
+    // scaled likewise before its threshold is measured — the
+    // threshold-balancing analogue of Eq. 5's `b̂ = b/λ`. Without this the
+    // bias current is injected at full scale every timestep while the spike
+    // traffic is scaled down, which is exactly the bias-amplification
+    // problem Section 3.1 of the paper describes for bias-free conversion
+    // schemes.
     let mut cum = 1.0f32;
     for k in 0..nodes.len() {
         let banks: &[Bank] = match &nodes[k] {
@@ -293,16 +282,16 @@ pub(crate) fn convert_spike_norm(
         };
         for &bank in banks {
             match (&mut nodes[k], bank) {
-                (SpikingNode::Spiking(layer), Bank::Main) => scale_bias(&mut layer.op, 1.0 / cum),
+                (SpikingNode::Spiking(layer), Bank::Main) => layer.op.scale_bias(1.0 / cum),
                 (SpikingNode::Residual(block), Bank::ResidualNs) => {
-                    scale_bias(&mut block.ns_op, 1.0 / cum)
+                    block.ns_op.scale_bias(1.0 / cum)
                 }
                 (SpikingNode::Residual(block), Bank::ResidualOs) => {
                     // Main-path convention; the identity path's different
                     // cumulative scale is an inherent limitation of
                     // threshold balancing on residual nets (the paper's
                     // Section 5 algebra exists precisely to fix this).
-                    scale_bias(&mut block.os_main, 1.0 / cum)
+                    block.os_main.scale_bias(1.0 / cum)
                 }
                 _ => unreachable!("banks listed only for weighted nodes"),
             }

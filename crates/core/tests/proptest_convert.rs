@@ -112,7 +112,7 @@ proptest! {
         let w = |c: &tcl_core::Conversion| -> Tensor {
             match c.snn.nodes().first().unwrap() {
                 tcl_snn::SpikingNode::Spiking(l) => match &l.op {
-                    tcl_snn::SynapticOp::Linear { weight, .. } => weight.clone(),
+                    tcl_snn::SynapticOp::Linear(synapse) => synapse.panel().clone(),
                     _ => panic!("expected linear"),
                 },
                 _ => panic!("expected spiking node"),

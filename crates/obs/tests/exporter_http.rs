@@ -16,10 +16,7 @@ use tcl_tensor::SeededRng;
 fn toy_snn(rng: &mut SeededRng) -> SpikingNetwork {
     let layer = |w: tcl_tensor::Tensor| {
         SpikingNode::Spiking(SpikingLayer::new(
-            SynapticOp::Linear {
-                weight: w,
-                bias: None,
-            },
+            SynapticOp::linear(w, None).unwrap(),
             IfNeurons::new(1.0, ResetMode::Subtract),
         ))
     };

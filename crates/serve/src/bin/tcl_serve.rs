@@ -109,7 +109,7 @@ fn demo_network(features: usize) -> Option<SpikingNetwork> {
     let weight = Tensor::from_vec([features, features], weight).ok()?;
     Some(SpikingNetwork::new(vec![SpikingNode::Spiking(
         SpikingLayer::new(
-            SynapticOp::Linear { weight, bias: None },
+            SynapticOp::linear(weight, None).ok()?,
             IfNeurons::new(1.0, ResetMode::Subtract),
         ),
     )]))

@@ -39,7 +39,7 @@ pub fn identity_net(features: usize) -> SpikingNetwork {
     }
     let weight = Tensor::from_vec([features, features], weight).expect("identity weight");
     SpikingNetwork::new(vec![SpikingNode::Spiking(SpikingLayer::new(
-        SynapticOp::Linear { weight, bias: None },
+        SynapticOp::linear(weight, None).unwrap(),
         IfNeurons::new(1.0, ResetMode::Subtract),
     ))])
 }

@@ -622,11 +622,15 @@ fn run_batch_fixed(
     let mut checkpoint_idx = 0usize;
     let mut final_preds: Vec<usize> = Vec::new();
     for t in 1..=max_t {
+        let drawn;
         let stimulus = match &mut input_rng {
-            None => x.clone(),
-            Some(rng) => poisson_step(&x, rng),
+            None => &x,
+            Some(rng) => {
+                drawn = poisson_step(&x, rng);
+                &drawn
+            }
         };
-        let spikes = net.step(&stimulus)?;
+        let spikes = net.step(stimulus)?;
         match &mut counts {
             Some(c) => c.add_assign(&spikes)?,
             None => counts = Some(spikes),
@@ -700,14 +704,16 @@ fn run_batch_adaptive(
         // Poisson impulses are drawn for the FULL batch and then gathered,
         // so each sample consumes the same RNG stream it would without
         // compaction — retirement of a neighbour never shifts its draws.
+        let drawn;
         let stimulus = match &mut input_rng {
-            None => x_active.clone(),
+            None => &x_active,
             Some(rng) => {
                 let full = poisson_step(&x, rng);
-                gather_lanes(&full, &active)?
+                drawn = gather_lanes(&full, &active)?;
+                &drawn
             }
         };
-        let spikes = net.step(&stimulus)?;
+        let spikes = net.step(stimulus)?;
         match &mut counts {
             Some(c) => c.add_assign(&spikes)?,
             None => counts = Some(spikes),
@@ -902,10 +908,11 @@ mod tests {
 
     fn copy_net() -> SpikingNetwork {
         SpikingNetwork::new(vec![SpikingNode::Spiking(SpikingLayer::new(
-            SynapticOp::Linear {
-                weight: Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap(),
-                bias: None,
-            },
+            SynapticOp::linear(
+                Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap(),
+                None,
+            )
+            .unwrap(),
             IfNeurons::new(1.0, ResetMode::Subtract),
         ))])
     }

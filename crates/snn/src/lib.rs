@@ -27,10 +27,7 @@
 //!
 //! // One identity layer: spike rates mirror the analog inputs.
 //! let layer = SpikingLayer::new(
-//!     SynapticOp::Linear {
-//!         weight: Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0])?,
-//!         bias: None,
-//!     },
+//!     SynapticOp::linear(Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0])?, None)?,
 //!     IfNeurons::new(1.0, ResetMode::Subtract),
 //! );
 //! let mut net = SpikingNetwork::new(vec![SpikingNode::Spiking(layer)]);
@@ -59,5 +56,5 @@ pub use network::SpikingNetwork;
 pub use neuron::{IfNeurons, ResetMode};
 pub use node::{SpikingLayer, SpikingNode, SpikingResidual};
 pub use sim::{evaluate, InputCoding, Readout, SimConfig, SweepResult};
-pub use synop::SynapticOp;
+pub use synop::{LinearSynapse, SynapticOp};
 pub use trace::{trace_activity, ActivityTrace, MarginTrace};

@@ -56,13 +56,17 @@ impl SpikingNetwork {
     ///
     /// Propagates shape errors, annotated with the failing node.
     pub fn step(&mut self, input: &Tensor) -> Result<Tensor> {
-        let mut x = input.clone();
+        // The first node reads `input` in place; only node outputs are owned.
+        let mut x: Option<Tensor> = None;
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            x = node.step(&x).map_err(|e| TensorError::InvalidArgument {
-                detail: format!("node {i} ({}): {e}", node.kind_name()),
+            let y = node.step(x.as_ref().unwrap_or(input)).map_err(|e| {
+                TensorError::InvalidArgument {
+                    detail: format!("node {i} ({}): {e}", node.kind_name()),
+                }
             })?;
+            x = Some(y);
         }
-        Ok(x)
+        Ok(x.unwrap_or_else(|| input.clone()))
     }
 
     /// Compacts every neuron bank's batch dimension to the rows listed in
@@ -70,9 +74,19 @@ impl SpikingNetwork {
     ///
     /// This is the primitive behind the inference engine's early-exit lane
     /// compaction: retiring a sample drops its membrane row from every bank
-    /// so the remaining samples simulate in a smaller batch. Because every
-    /// kernel computes batch items independently, the surviving samples'
-    /// trajectories are bit-for-bit unchanged by the compaction.
+    /// so the remaining samples simulate in a smaller batch.
+    ///
+    /// Convolutions, pooling and IF banks compute batch items
+    /// independently, so their rows are unchanged by the compaction at
+    /// every SIMD level. A linear synapse multiplies the batch as one
+    /// matrix: at the `Scalar` and `Wide` levels a row's current still does
+    /// not depend on its position, so the surviving samples' trajectories
+    /// are bit-for-bit unchanged. At `Avx2` the blocked kernel fuses
+    /// multiply-adds only for rows in full 4-row bands (see
+    /// `tcl_tensor::ops::matmul`), so a sample that moves into or out of
+    /// the ragged bottom rows may round differently — unless its linear
+    /// inputs are binary spikes, whose products are exact. A linear layer
+    /// after average pooling reads fractional inputs and is exposed.
     ///
     /// # Errors
     ///
@@ -92,7 +106,10 @@ impl SpikingNetwork {
     ///
     /// A zero membrane row is bit-for-bit the state a reset bank adopts on
     /// its first step, so a grown lane simulates exactly as if it had been
-    /// presented alone from step one; existing rows are untouched. This is
+    /// presented alone from step one; existing rows are untouched. That
+    /// holds bitwise under the same condition as
+    /// [`SpikingNetwork::retain_rows`]: at the `Scalar` and `Wide` levels,
+    /// or at `Avx2` while every linear synapse reads binary spikes. This is
     /// the primitive behind the lane engine's continuous batching: new
     /// requests join the running timestep loop in lanes freed by early
     /// exit, without restarting the batch.
@@ -174,17 +191,15 @@ mod tests {
     fn two_layer_net() -> SpikingNetwork {
         // Layer 1: identity 2→2; layer 2: sums both inputs into one output.
         let l1 = SpikingLayer::new(
-            SynapticOp::Linear {
-                weight: Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap(),
-                bias: None,
-            },
+            SynapticOp::linear(
+                Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap(),
+                None,
+            )
+            .unwrap(),
             IfNeurons::new(1.0, ResetMode::Subtract),
         );
         let l2 = SpikingLayer::new(
-            SynapticOp::Linear {
-                weight: Tensor::from_vec([1, 2], vec![0.5, 0.5]).unwrap(),
-                bias: None,
-            },
+            SynapticOp::linear(Tensor::from_vec([1, 2], vec![0.5, 0.5]).unwrap(), None).unwrap(),
             IfNeurons::new(1.0, ResetMode::Subtract),
         );
         SpikingNetwork::new(vec![SpikingNode::Spiking(l1), SpikingNode::Spiking(l2)])

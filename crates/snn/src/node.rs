@@ -246,10 +246,7 @@ mod tests {
         for i in 0..out_f.min(in_f) {
             w.data_mut()[i * in_f + i] = 1.0;
         }
-        SynapticOp::Linear {
-            weight: w,
-            bias: None,
-        }
+        SynapticOp::linear(w, None).unwrap()
     }
 
     #[test]
@@ -287,10 +284,7 @@ mod tests {
     fn residual_identity_paths_superpose() {
         // NS path contributes nothing (zero weights); shortcut is identity,
         // so the block should rate-code its input directly.
-        let zero_conv = SynapticOp::Linear {
-            weight: Tensor::zeros([2, 2]),
-            bias: None,
-        };
+        let zero_conv = SynapticOp::linear(Tensor::zeros([2, 2]), None).unwrap();
         let mut block = SpikingResidual {
             ns_op: zero_conv.clone(),
             ns_neurons: IfNeurons::new(1.0, ResetMode::Subtract),

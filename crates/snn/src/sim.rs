@@ -206,10 +206,11 @@ mod tests {
     /// larger feature wins once enough spikes accumulate.
     fn copy_net() -> SpikingNetwork {
         SpikingNetwork::new(vec![SpikingNode::Spiking(SpikingLayer::new(
-            SynapticOp::Linear {
-                weight: Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap(),
-                bias: None,
-            },
+            SynapticOp::linear(
+                Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap(),
+                None,
+            )
+            .unwrap(),
             IfNeurons::new(1.0, ResetMode::Subtract),
         ))])
     }
@@ -287,10 +288,11 @@ mod input_coding_tests {
 
     fn identity_net() -> SpikingNetwork {
         SpikingNetwork::new(vec![SpikingNode::Spiking(SpikingLayer::new(
-            SynapticOp::Linear {
-                weight: Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap(),
-                bias: None,
-            },
+            SynapticOp::linear(
+                Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap(),
+                None,
+            )
+            .unwrap(),
             IfNeurons::new(1.0, ResetMode::Subtract),
         ))])
     }

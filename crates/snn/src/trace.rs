@@ -191,10 +191,7 @@ mod tests {
     fn deep_net(layers: usize) -> SpikingNetwork {
         let node = || {
             SpikingNode::Spiking(SpikingLayer::new(
-                SynapticOp::Linear {
-                    weight: Tensor::from_vec([1, 1], vec![1.0]).unwrap(),
-                    bias: None,
-                },
+                SynapticOp::linear(Tensor::from_vec([1, 1], vec![1.0]).unwrap(), None).unwrap(),
                 IfNeurons::new(1.0, ResetMode::Subtract),
             ))
         };

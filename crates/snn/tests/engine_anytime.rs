@@ -17,17 +17,15 @@ use tcl_tensor::{SeededRng, Tensor};
 fn random_net(seed: u64, features: usize, hidden: usize, classes: usize) -> SpikingNetwork {
     let mut rng = SeededRng::new(seed);
     let l1 = SpikingLayer::new(
-        SynapticOp::Linear {
-            weight: rng.uniform_tensor([hidden, features], -0.8, 0.8),
-            bias: Some(rng.uniform_tensor([hidden], -0.1, 0.1)),
-        },
+        SynapticOp::linear(
+            rng.uniform_tensor([hidden, features], -0.8, 0.8),
+            Some(rng.uniform_tensor([hidden], -0.1, 0.1)),
+        )
+        .unwrap(),
         IfNeurons::new(1.0, ResetMode::Subtract),
     );
     let l2 = SpikingLayer::new(
-        SynapticOp::Linear {
-            weight: rng.uniform_tensor([classes, hidden], -0.8, 0.8),
-            bias: None,
-        },
+        SynapticOp::linear(rng.uniform_tensor([classes, hidden], -0.8, 0.8), None).unwrap(),
         IfNeurons::new(1.0, ResetMode::Subtract),
     );
     SpikingNetwork::new(vec![SpikingNode::Spiking(l1), SpikingNode::Spiking(l2)])

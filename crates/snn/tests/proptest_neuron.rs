@@ -90,10 +90,7 @@ proptest! {
         steps in 1usize..60,
     ) {
         let layer = |weight: f32| SpikingNode::Spiking(SpikingLayer::new(
-            SynapticOp::Linear {
-                weight: Tensor::from_vec([1, 1], vec![weight]).unwrap(),
-                bias: None,
-            },
+            SynapticOp::linear(Tensor::from_vec([1, 1], vec![weight]).unwrap(), None).unwrap(),
             IfNeurons::new(1.0, ResetMode::Subtract),
         ));
         let mut net = SpikingNetwork::new(vec![layer(w), layer(1.0)]);

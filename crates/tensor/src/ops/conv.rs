@@ -13,6 +13,7 @@ use crate::par;
 use crate::par::min_items_per_worker;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Geometry of a 2-D convolution: kernel size, stride, and symmetric zero
 /// padding.
@@ -99,10 +100,62 @@ impl ConvGeometry {
     }
 }
 
+/// `input`'s `channels` planes surrounded by a `pad`-wide zero border, as
+/// `(planes, padded_h, padded_w)`; borrowed unchanged when `pad == 0`.
+///
+/// Every sliding window lies inside the padded planes, so the lowering
+/// reads each tap without a bounds test and writes no padding of its own.
+fn padded_planes(
+    input: &[f32],
+    channels: usize,
+    in_h: usize,
+    in_w: usize,
+    pad: usize,
+) -> (Cow<'_, [f32]>, usize, usize) {
+    if pad == 0 {
+        return (Cow::Borrowed(input), in_h, in_w);
+    }
+    let (ph, pw) = (in_h + 2 * pad, in_w + 2 * pad);
+    let mut planes = vec![0.0f32; channels * ph * pw];
+    if in_w > 0 {
+        for (dst, src) in planes
+            .chunks_exact_mut(ph * pw)
+            .flat_map(|plane| plane[pad * pw..(pad + in_h) * pw].chunks_exact_mut(pw))
+            .zip(input.chunks_exact(in_w))
+        {
+            dst[pad..pad + in_w].copy_from_slice(src);
+        }
+    }
+    (Cow::Owned(planes), ph, pw)
+}
+
+/// Copies `src` into the equally long `dst` in fixed 8-lane blocks, so a
+/// short image row moves as a few vector stores instead of a `memcpy` call.
+#[inline]
+fn copy_row(dst: &mut [f32], src: &[f32]) {
+    let mut dst_blocks = dst.chunks_exact_mut(8);
+    let mut src_blocks = src.chunks_exact(8);
+    for (d, s) in (&mut dst_blocks).zip(&mut src_blocks) {
+        if let (Ok(d), Ok(s)) = (<&mut [f32; 8]>::try_from(d), <&[f32; 8]>::try_from(s)) {
+            *d = *s;
+        }
+    }
+    for (d, &s) in dst_blocks
+        .into_remainder()
+        .iter_mut()
+        .zip(src_blocks.remainder())
+    {
+        *d = s;
+    }
+}
+
 /// Unrolls sliding windows of a single image `[C, H, W]` (given as a flat
 /// slice) into a `[C*kh*kw, out_h*out_w]` column matrix.
 ///
-/// Out-of-bounds (padding) positions contribute zeros.
+/// Out-of-bounds (padding) positions contribute zeros. The image is padded
+/// once per call, so every `cols` row segment is a plain copy of a padded
+/// image row (stride 1) or a branch-free strided gather: no per-element
+/// bounds test, no per-row padding fills.
 #[allow(clippy::too_many_arguments)] // geometry is explicit by design in the hot path
 pub fn im2col_single(
     input: &[f32],
@@ -120,46 +173,91 @@ pub fn im2col_single(
         cols.len(),
         channels * geom.kernel_h * geom.kernel_w * col_width
     );
-    let pad = geom.padding as isize;
     let stride = geom.stride;
-    let mut row = 0usize;
-    for c in 0..channels {
-        let plane = &input[c * in_h * in_w..(c + 1) * in_h * in_w];
+    let (planes, ph, pw) = padded_planes(input, channels, in_h, in_w, geom.padding);
+    let mut rows = cols.chunks_exact_mut(col_width.max(1));
+    for plane in planes.chunks_exact((ph * pw).max(1)) {
         for kh in 0..geom.kernel_h {
             for kw in 0..geom.kernel_w {
-                let dst = &mut cols[row * col_width..(row + 1) * col_width];
-                let mut idx = 0usize;
-                for oh in 0..out_h {
-                    let ih = oh as isize * stride as isize + kh as isize - pad;
-                    if ih < 0 || ih >= in_h as isize {
-                        for d in dst[idx..idx + out_w].iter_mut() {
-                            *d = 0.0;
+                let Some(dst) = rows.next() else { return };
+                for (oh, dst_row) in dst.chunks_exact_mut(out_w).enumerate() {
+                    let src = &plane[(oh * stride + kh) * pw + kw..];
+                    if stride == 1 {
+                        copy_row(dst_row, &src[..out_w]);
+                    } else {
+                        for (d, &s) in dst_row.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = s;
                         }
-                        idx += out_w;
-                        continue;
-                    }
-                    let src_row = &plane[ih as usize * in_w..(ih as usize + 1) * in_w];
-                    for ow in 0..out_w {
-                        let iw = ow as isize * stride as isize + kw as isize - pad;
-                        dst[idx] = if iw < 0 || iw >= in_w as isize {
-                            0.0
-                        } else {
-                            src_row[iw as usize]
-                        };
-                        idx += 1;
                     }
                 }
-                row += 1;
             }
         }
     }
+}
+
+/// [`im2col_single`] written transposed: `cols_t` is `[out_h*out_w,
+/// C*kh*kw]`, i.e. `cols_t[p·rows + r] = cols[r·(out_h·out_w) + p]` with the
+/// same bits. The weight-gradient product wants this layout, and writing it
+/// directly saves materializing `cols` and transposing it.
+#[allow(clippy::too_many_arguments)] // geometry is explicit by design in the hot path
+pub fn im2col_transposed_single(
+    input: &[f32],
+    channels: usize,
+    in_h: usize,
+    in_w: usize,
+    geom: ConvGeometry,
+    out_h: usize,
+    out_w: usize,
+    cols_t: &mut [f32],
+) {
+    let rows = channels * geom.kernel_h * geom.kernel_w;
+    debug_assert_eq!(input.len(), channels * in_h * in_w);
+    debug_assert_eq!(cols_t.len(), rows * out_h * out_w);
+    let stride = geom.stride;
+    let (planes, ph, pw) = padded_planes(input, channels, in_h, in_w, geom.padding);
+    for (p, dst) in cols_t.chunks_exact_mut(rows.max(1)).enumerate() {
+        let (oh, ow) = (p / out_w, p % out_w);
+        let mut taps = dst.iter_mut();
+        for plane in planes.chunks_exact((ph * pw).max(1)) {
+            for kh in 0..geom.kernel_h {
+                let src = &plane[(oh * stride + kh) * pw + ow * stride..][..geom.kernel_w];
+                // `src` leads the zip so the exhausted side is the short one
+                // and no tap slot is consumed past the kernel row.
+                for (&s, d) in src.iter().zip(&mut taps) {
+                    *d = s;
+                }
+            }
+        }
+    }
+}
+
+/// The outputs `o` in `0..out_len` whose input coordinate
+/// `o·stride + offset` lands inside `0..in_len`, as a half-open range
+/// `[lo, hi)` (empty when no output touches the input).
+fn valid_outputs(out_len: usize, in_len: usize, offset: isize, stride: usize) -> (usize, usize) {
+    let stride = stride as isize;
+    let last = in_len as isize - 1 - offset;
+    if last < 0 {
+        return (0, 0);
+    }
+    let hi = ((last / stride + 1) as usize).min(out_len);
+    let lo = if offset >= 0 {
+        0
+    } else {
+        ((-offset + stride - 1) / stride) as usize
+    };
+    (lo.min(hi), hi)
 }
 
 /// Folds a `[C*kh*kw, out_h*out_w]` column matrix back into an image
 /// `[C, H, W]`, *accumulating* overlapping contributions.
 ///
 /// This is the adjoint of [`im2col_single`]: for all `x`, `y` it holds that
-/// `⟨im2col(x), y⟩ = ⟨x, col2im(y)⟩`.
+/// `⟨im2col(x), y⟩ = ⟨x, col2im(y)⟩`. Each `cols` row is folded over the
+/// range of outputs whose tap lands inside the image, computed once per row,
+/// so the inner loop carries no bounds test; every image element still
+/// receives its contributions in `(c, kh, kw, oh, ow)` order, so the sums
+/// round exactly as a per-element fold would.
 #[allow(clippy::too_many_arguments)] // geometry is explicit by design in the hot path
 pub fn col2im_single(
     cols: &[f32],
@@ -179,29 +277,34 @@ pub fn col2im_single(
     );
     let pad = geom.padding as isize;
     let stride = geom.stride;
-    let mut row = 0usize;
-    for c in 0..channels {
-        let plane = &mut output[c * in_h * in_w..(c + 1) * in_h * in_w];
+    let mut rows = cols.chunks_exact(col_width.max(1));
+    for plane in output.chunks_exact_mut((in_h * in_w).max(1)) {
         for kh in 0..geom.kernel_h {
+            let offset_h = kh as isize - pad;
+            let (oh0, oh1) = valid_outputs(out_h, in_h, offset_h, stride);
             for kw in 0..geom.kernel_w {
-                let src = &cols[row * col_width..(row + 1) * col_width];
-                let mut idx = 0usize;
-                for oh in 0..out_h {
-                    let ih = oh as isize * stride as isize + kh as isize - pad;
-                    if ih < 0 || ih >= in_h as isize {
-                        idx += out_w;
-                        continue;
-                    }
-                    let dst_row = &mut plane[ih as usize * in_w..(ih as usize + 1) * in_w];
-                    for ow in 0..out_w {
-                        let iw = ow as isize * stride as isize + kw as isize - pad;
-                        if iw >= 0 && iw < in_w as isize {
-                            dst_row[iw as usize] += src[idx];
+                let Some(src) = rows.next() else { return };
+                let offset_w = kw as isize - pad;
+                let (ow0, ow1) = valid_outputs(out_w, in_w, offset_w, stride);
+                if ow0 == ow1 {
+                    continue;
+                }
+                // In range, both coordinates are nonnegative.
+                let iw0 = (ow0 * stride) as isize + offset_w;
+                for oh in oh0..oh1 {
+                    let ih = (oh * stride) as isize + offset_h;
+                    let dst = &mut plane[(ih * in_w as isize + iw0) as usize..];
+                    let src_row = &src[oh * out_w + ow0..oh * out_w + ow1];
+                    if stride == 1 {
+                        for (d, &s) in dst.iter_mut().zip(src_row) {
+                            *d += s;
                         }
-                        idx += 1;
+                    } else {
+                        for (d, &s) in dst.iter_mut().step_by(stride).zip(src_row) {
+                            *d += s;
+                        }
                     }
                 }
-                row += 1;
             }
         }
     }
@@ -398,14 +501,13 @@ pub fn conv2d_backward(
     // Phase 2 — weight gradients, serial over items (the accumulation into
     // dW is a reduction, so item order is kept fixed); the inner matmul
     // parallelizes over its own output rows.
-    let mut cols = vec![0.0f32; col_rows * col_width];
     let mut cols_t = vec![0.0f32; col_rows * col_width];
     for ni in 0..n {
         let src = &input.data()[ni * item_in..(ni + 1) * item_in];
-        im2col_single(src, c, h, w, geom, out_h, out_w, &mut cols);
+        // dW += dY @ colsᵀ  ([O, CW] @ [CW, CR] -> [O, CR]), with colsᵀ
+        // lowered directly in its transposed layout.
+        im2col_transposed_single(src, c, h, w, geom, out_h, out_w, &mut cols_t);
         let gout = &grad_output.data()[ni * item_out..(ni + 1) * item_out];
-        // dW += dY @ colsᵀ  ([O, CW] @ [CR, CW]ᵀ -> [O, CR]).
-        transpose_into(&cols, &mut cols_t, col_rows, col_width);
         matmul_into(
             gout,
             &cols_t,

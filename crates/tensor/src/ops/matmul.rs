@@ -13,15 +13,25 @@
 //! # Determinism
 //!
 //! Every output element is accumulated in ascending `k` order with exactly
-//! one store, and rows are computed independently, so the result is bitwise
-//! identical across thread counts, row partitions, and tile shapes **for a
-//! fixed SIMD level**. The level is resolved once per call
-//! ([`tcl_simd::current`]) and passed to every worker, so a product never
-//! mixes levels. `Scalar` and `Wide` are bitwise identical; `Avx2` fuses
-//! multiply-adds and differs within an accumulated-rounding bound (pin
-//! `TCL_SIMD=scalar` to replay reference numerics). The `*_with` variants
-//! take an explicit [`Parallelism`] budget; the plain entry points use the
-//! process default ([`crate::par::current`], i.e. `TCL_THREADS`).
+//! one store, and threads split the output only at `MR`-row band
+//! boundaries, so for a fixed shape the result is bitwise identical across
+//! thread counts **for a fixed SIMD level**. The level is resolved once per
+//! call ([`tcl_simd::current`]) and passed to every worker, so a product
+//! never mixes levels. `Scalar` and `Wide` are bitwise identical to each
+//! other and to [`matmul_into_naive`], whichever tile a row lands in, so at
+//! those levels a row's bits do not depend on its position or on `m`.
+//!
+//! `Avx2` fuses multiply-adds, and only in the full-tile micro-kernel: the
+//! ragged right columns and the ragged bottom rows (the last `m % MR`) run
+//! the unfused `micro_tile`. So at `Avx2` a row's bits depend on where it
+//! sits — row 4 of a 5-row product is ragged and unfused, while the same
+//! row as row 0 of a 4-row product is fused — and differ within an
+//! accumulated-rounding bound. The exception is exact products: with 0/1
+//! left-hand entries (binary spikes) `1·b` rounds nothing, so fused and
+//! unfused tiles agree bitwise. Pin `TCL_SIMD=scalar` to replay reference
+//! numerics. The `*_with` variants take an explicit [`Parallelism`]
+//! budget; the plain entry points use the process default
+//! ([`crate::par::current`], i.e. `TCL_THREADS`).
 //!
 //! # Zero-skipping
 //!
@@ -218,7 +228,8 @@ pub fn matmul_into_with(
 /// B rows) instead of `MR` strided row cursors. Packing copies each A
 /// element once per band — `O(rows·k)` against the `O(rows·k·n)` multiply.
 /// Full tiles dispatch to [`tcl_simd::gebp_4x16`] at the caller-resolved
-/// `level`; ragged edges stay on the scalar [`micro_tile`].
+/// `level`; ragged edges stay on the scalar [`micro_tile`], which never
+/// fuses — the source of `Avx2`'s row-position dependence (module docs).
 fn kernel_rows(
     level: Level,
     a: &[f32],
