@@ -176,6 +176,30 @@ fn bench_conv2d(c: &mut Criterion) {
     });
 }
 
+/// CNN-6's first IF-fed convolution (8 channels of 16×16 spikes into 8
+/// outputs, padded 3×3, batch 5) on binary rasters at 15% (the IF banks'
+/// firing rate) and 50% density: the accumulate-only event path against
+/// the im2col + GEMM path it replaces, so the crossover is on record.
+fn bench_conv_spikes(c: &mut Criterion) {
+    let mut rng = SeededRng::new(11);
+    let geom = ConvGeometry::square(3, 1, 1).unwrap();
+    let w = rng.uniform_tensor([8, 8, 3, 3], -0.5, 0.5);
+    let bias = rng.uniform_tensor([8], -0.1, 0.1);
+    let taps = ops::ConvTaps::new(&w).unwrap();
+    for (label, density) in [("p15", 0.15), ("p50", 0.5)] {
+        let x: Vec<f32> = (0..5 * 8 * 16 * 16)
+            .map(|_| f32::from(u8::from(rng.uniform(0.0, 1.0) < density)))
+            .collect();
+        let x = Tensor::from_vec([5, 8, 16, 16], x).unwrap();
+        c.bench_function(&format!("conv_spikes_8x16x16_o8_batch5_{label}"), |bench| {
+            bench.iter(|| ops::conv2d_spikes(black_box(&x), &taps, Some(&bias), geom).unwrap())
+        });
+        c.bench_function(&format!("conv_gemm_8x16x16_o8_batch5_{label}"), |bench| {
+            bench.iter(|| ops::conv2d(black_box(&x), &w, Some(&bias), geom).unwrap())
+        });
+    }
+}
+
 /// CNN-6's `256→128` fully connected synapse on a batch of 5 pooled-spike
 /// rows (multiples of 1/4, half of them nonzero, so the dense branch runs):
 /// the per-timestep call the stored weight panel exists for.
@@ -332,6 +356,7 @@ criterion_group!(
         bench_matmul_kernels,
         bench_if_step,
         bench_conv2d,
+        bench_conv_spikes,
         bench_linear_synop,
         bench_ann_forward,
         bench_snn_step,

@@ -17,6 +17,13 @@
 //! The crossover T where the SNN stops being cheaper is exactly the
 //! latency/energy trade-off TCL's low norm-factors improve.
 //!
+//! The ops are split the way the simulator runs them. A synapse fed by
+//! binary spikes takes the event path (`SynapticOp::is_event_driven`, the
+//! predicate `apply` uses): one accumulate (AC) per spike and tap. The
+//! analog first layer and synapses behind average pooling read fractional
+//! inputs and multiply-accumulate (MAC). The `AC/MAC @T` columns give both
+//! shares of the ops at the largest budget.
+//!
 //! A second table reports synops *measured* by the engine's `snn.synops`
 //! telemetry counter on the TCL conversion, fixed-T vs per-sample early
 //! exit — the early-exit saving column is the energy the margin-stability
@@ -35,11 +42,11 @@ use tcl_tensor::Tensor;
 /// Dense MACs for one application of a synaptic operator on `input`.
 fn dense_macs(op: &SynapticOp, input: &Tensor) -> u64 {
     match op {
-        SynapticOp::Conv { weight, geom, .. } => {
+        SynapticOp::Conv(synapse) => {
+            let geom = synapse.geom();
             let (_, c, h, w) = input.shape().as_nchw().expect("conv input is rank 4");
             let (oh, ow) = geom.output_hw(h, w).expect("geometry fits");
-            let out_c = weight.dims()[0];
-            (oh * ow * out_c * c * geom.kernel_h * geom.kernel_w) as u64
+            (oh * ow * synapse.out_channels() * c * geom.kernel_h * geom.kernel_w) as u64
         }
         SynapticOp::Linear(synapse) => synapse.panel().len() as u64,
     }
@@ -52,21 +59,45 @@ fn density(x: &Tensor) -> f64 {
     x.data().iter().filter(|&&v| v != 0.0).count() as f64 / x.len() as f64
 }
 
+/// Estimated ops of one stimulus, split by the kernel path that runs them.
+#[derive(Default)]
+struct Ops {
+    /// Accumulates: synapses on the event path (binary spike input).
+    acs: f64,
+    /// Multiply-accumulates: synapses on the GEMM path (analog or pooled
+    /// input).
+    macs: f64,
+}
+
+impl Ops {
+    /// Adds `ops` estimated operations of `op` on `input` to its path.
+    fn add(&mut self, op: &SynapticOp, input: &Tensor, ops: f64) {
+        if op.is_event_driven(input) {
+            self.acs += ops;
+        } else {
+            self.macs += ops;
+        }
+    }
+
+    fn total(&self) -> f64 {
+        self.acs + self.macs
+    }
+}
+
 /// Steps the SNN for `t_steps` on one stimulus, accumulating estimated
-/// synaptic operations, and returns (ops, per-inference ANN-equivalent
-/// dense MACs).
-fn measure_ops(net: &mut SpikingNetwork, input: &Tensor, t_steps: usize) -> (f64, u64) {
+/// synaptic operations split into ACs and MACs, and returns (ops,
+/// per-inference ANN-equivalent dense MACs).
+fn measure_ops(net: &mut SpikingNetwork, input: &Tensor, t_steps: usize) -> (Ops, u64) {
     net.reset();
-    let mut ops = 0.0f64;
+    let mut ops = Ops::default();
     let mut dense_total = 0u64;
     for step in 0..t_steps {
         let mut x = input.clone();
         for node in net.nodes_mut() {
             match node {
                 SpikingNode::Spiking(layer) => {
-                    let d = density(&x);
                     let macs = dense_macs(&layer.op, &x);
-                    ops += macs as f64 * d;
+                    ops.add(&layer.op, &x, macs as f64 * density(&x));
                     if step == 0 {
                         dense_total += macs;
                     }
@@ -77,10 +108,13 @@ fn measure_ops(net: &mut SpikingNetwork, input: &Tensor, t_steps: usize) -> (f64
                     let ns_macs = dense_macs(&block.ns_op, &x);
                     let sh_macs = dense_macs(&block.os_shortcut, &x);
                     // NS output feeds os_main; approximate its density by
-                    // the block input density (documented estimate).
+                    // the block input density (documented estimate) and its
+                    // path by the block's own binary output.
                     let y = block.step(&x).expect("step");
                     let main_macs = dense_macs(&block.os_main, &y);
-                    ops += (ns_macs + sh_macs + main_macs) as f64 * d;
+                    ops.add(&block.ns_op, &x, ns_macs as f64 * d);
+                    ops.add(&block.os_shortcut, &x, sh_macs as f64 * d);
+                    ops.add(&block.os_main, &y, main_macs as f64 * d);
                     if step == 0 {
                         dense_total += ns_macs + sh_macs + main_macs;
                     }
@@ -124,6 +158,10 @@ fn main() {
             "ANN MACs".to_string(),
         ];
         h.extend(t_grid.iter().map(|t| format!("ops ratio @T={t}")));
+        h.push(format!(
+            "AC/MAC @T={}",
+            t_grid.last().expect("nonempty grid")
+        ));
         h
     };
     let mut rows = Vec::new();
@@ -150,24 +188,29 @@ fn main() {
             let mut row = vec![arch.name().to_string(), label.to_string()];
             let mut macs_cell = String::new();
             let mut ratios = Vec::new();
+            let mut split = String::new();
             for &t in &t_grid {
-                let mut total_ops = 0.0;
+                let mut total = Ops::default();
                 let mut dense = 0u64;
                 for i in 0..probe.len() {
                     let x = probe.images().batch_item(i);
                     let mut snn = conversion.snn.clone();
                     let (ops, d) = measure_ops(&mut snn, &x, t);
-                    total_ops += ops;
+                    total.acs += ops.acs;
+                    total.macs += ops.macs;
                     dense = d;
                 }
-                let mean_ops = total_ops / probe.len() as f64;
+                let mean_ops = total.total() / probe.len() as f64;
                 if macs_cell.is_empty() {
                     macs_cell = format!("{dense}");
                 }
                 ratios.push(format!("{:.2}x", mean_ops / dense as f64));
+                let ac_share = total.acs / total.total().max(f64::MIN_POSITIVE);
+                split = format!("{}/{}", pct(ac_share as f32), pct(1.0 - ac_share as f32));
             }
             row.push(macs_cell);
             row.extend(ratios);
+            row.push(split);
             eprintln!("[done] {} / {label}", arch.name());
             rows.push(row);
         }

@@ -343,11 +343,11 @@ fn emit_spiking(folded: &Network, lambdas: &[f32], reset: ResetMode) -> Result<S
                     });
                 };
                 nodes.push(SpikingNode::Spiking(SpikingLayer::new(
-                    SynapticOp::Conv {
-                        weight: scaled(&conv.weight.value, lam_prev / lam),
-                        bias: conv.bias.as_ref().map(|b| b.value.scale(1.0 / lam)),
-                        geom: conv.geom,
-                    },
+                    SynapticOp::conv(
+                        scaled(&conv.weight.value, lam_prev / lam),
+                        conv.bias.as_ref().map(|b| b.value.scale(1.0 / lam)),
+                        conv.geom,
+                    )?,
                     IfNeurons::new(1.0, reset),
                 )));
                 lam_prev = lam;
@@ -396,15 +396,15 @@ fn emit_spiking(folded: &Network, lambdas: &[f32], reset: ResetMode) -> Result<S
                 let lam_out = *lambdas.get(site + 1).ok_or_else(|| site_underflow(site))?;
                 site += 2;
                 // NS (from Conv1): Ŵns = W_c1 · λ_pre/λ_c1, b̂ns = b_c1/λ_c1.
-                let ns_op = SynapticOp::Conv {
-                    weight: scaled(&block.conv1.weight.value, lam_pre / lam_c1),
-                    bias: block
+                let ns_op = SynapticOp::conv(
+                    scaled(&block.conv1.weight.value, lam_pre / lam_c1),
+                    block
                         .conv1
                         .bias
                         .as_ref()
                         .map(|b| b.value.scale(1.0 / lam_c1)),
-                    geom: block.conv1.geom,
-                };
+                    block.conv1.geom,
+                )?;
                 // OS main (from Conv2): Ŵosn = W_c2 · λ_c1/λ_out.
                 let c2_bias = block
                     .conv2
@@ -430,16 +430,13 @@ fn emit_spiking(folded: &Network, lambdas: &[f32], reset: ResetMode) -> Result<S
                     ),
                 };
                 let combined_bias = c2_bias.add(&sh_bias)?.scale(1.0 / lam_out);
-                let os_main = SynapticOp::Conv {
-                    weight: scaled(&block.conv2.weight.value, lam_c1 / lam_out),
-                    bias: Some(combined_bias),
-                    geom: block.conv2.geom,
-                };
-                let os_shortcut = SynapticOp::Conv {
-                    weight: scaled(&sh_weight, lam_pre / lam_out),
-                    bias: None,
-                    geom: sh_geom,
-                };
+                let os_main = SynapticOp::conv(
+                    scaled(&block.conv2.weight.value, lam_c1 / lam_out),
+                    Some(combined_bias),
+                    block.conv2.geom,
+                )?;
+                let os_shortcut =
+                    SynapticOp::conv(scaled(&sh_weight, lam_pre / lam_out), None, sh_geom)?;
                 nodes.push(SpikingNode::Residual(SpikingResidual {
                     ns_op,
                     ns_neurons: IfNeurons::new(1.0, reset),

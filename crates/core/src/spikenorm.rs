@@ -42,11 +42,11 @@ fn emit_unnormalized(folded: &Network, reset: ResetMode) -> Result<Vec<SpikingNo
         match &layers[i] {
             Layer::Conv2d(conv) => {
                 nodes.push(SpikingNode::Spiking(SpikingLayer::new(
-                    SynapticOp::Conv {
-                        weight: conv.weight.value.clone(),
-                        bias: conv.bias.as_ref().map(|b| b.value.clone()),
-                        geom: conv.geom,
-                    },
+                    SynapticOp::conv(
+                        conv.weight.value.clone(),
+                        conv.bias.as_ref().map(|b| b.value.clone()),
+                        conv.geom,
+                    )?,
                     IfNeurons::new(1.0, reset),
                 )));
                 while matches!(
@@ -97,22 +97,18 @@ fn emit_unnormalized(folded: &Network, reset: ResetMode) -> Result<Vec<SpikingNo
                     }
                 };
                 nodes.push(SpikingNode::Residual(SpikingResidual {
-                    ns_op: SynapticOp::Conv {
-                        weight: block.conv1.weight.value.clone(),
-                        bias: block.conv1.bias.as_ref().map(|b| b.value.clone()),
-                        geom: block.conv1.geom,
-                    },
+                    ns_op: SynapticOp::conv(
+                        block.conv1.weight.value.clone(),
+                        block.conv1.bias.as_ref().map(|b| b.value.clone()),
+                        block.conv1.geom,
+                    )?,
                     ns_neurons: IfNeurons::new(1.0, reset),
-                    os_main: SynapticOp::Conv {
-                        weight: block.conv2.weight.value.clone(),
-                        bias: Some(c2_bias.add(&sh_bias)?),
-                        geom: block.conv2.geom,
-                    },
-                    os_shortcut: SynapticOp::Conv {
-                        weight: sh_weight,
-                        bias: None,
-                        geom: sh_geom,
-                    },
+                    os_main: SynapticOp::conv(
+                        block.conv2.weight.value.clone(),
+                        Some(c2_bias.add(&sh_bias)?),
+                        block.conv2.geom,
+                    )?,
+                    os_shortcut: SynapticOp::conv(sh_weight, None, sh_geom)?,
                     os_neurons: IfNeurons::new(1.0, reset),
                 }));
             }

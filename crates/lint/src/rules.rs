@@ -95,8 +95,13 @@ const F2_SANCTIONED: &[&str] = &["crates/simd/src/vecmath.rs"];
 /// Hot-path files where eager telemetry emission must be gated (G-series).
 const HOT_FILES: &[&str] = &[
     "crates/tensor/src/par.rs",
+    "crates/tensor/src/ops/conv.rs",
     "crates/snn/src/neuron.rs",
     "crates/snn/src/engine.rs",
+    "crates/snn/src/synop.rs",
+    "crates/snn/src/node.rs",
+    "crates/snn/src/network.rs",
+    "crates/snn/src/lanes.rs",
 ];
 
 /// Capability islands exempt from A3: files that legitimately own sockets

@@ -339,6 +339,16 @@ fn g1_dominator_accepts_early_return_guards() {
 }
 
 #[test]
+fn g1_does_not_follow_a_gate_held_in_a_local() {
+    // The gate must be visible at the emit site: a bool computed earlier
+    // is just an identifier to the dominator check, whatever it holds.
+    let src = "fn apply() {\n    let metrics = telemetry::metrics_enabled();\n    if metrics {\n        telemetry::counter_add(\"n\", 1);\n    }\n}";
+    assert_eq!(rules(&lint_hot(src)), ["G1"]);
+    let src = "fn apply() {\n    if telemetry::metrics_enabled() {\n        telemetry::counter_add(\"n\", 1);\n    }\n}";
+    assert!(lint_hot(src).is_empty());
+}
+
+#[test]
 fn g1_dominator_tracks_block_structure_not_lines() {
     // A sibling gate that already closed does not dominate what follows —
     // the v1 line matcher could be fooled by this shape.

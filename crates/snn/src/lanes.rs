@@ -32,7 +32,7 @@
 use crate::engine::{top2, ExitPolicy};
 use crate::network::SpikingNetwork;
 use crate::sim::Readout;
-use tcl_tensor::{Result, Shape, Tensor, TensorError};
+use tcl_tensor::{simd, Result, Shape, Tensor, TensorError};
 
 /// Identifier of a submitted sample, unique within one [`LaneEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -86,10 +86,10 @@ pub struct LaneEngine {
     policy: ExitPolicy,
     capacity: usize,
     lanes: Vec<Lane>,
-    /// Active stimulus rows, row-major (`lanes.len()` rows).
-    x: Vec<f32>,
-    /// Per-sample feature dims (without the batch dim); set by first submit.
-    feat_dims: Option<Vec<usize>>,
+    /// Active stimulus, `[lanes.len(), feature dims...]`; set by the first
+    /// submit, grown by each submit and gathered by each compaction, so a
+    /// step reads it in place.
+    stimulus: Option<Tensor>,
     /// Accumulated output spike counts, `lanes.len() × classes` row-major.
     counts: Vec<f32>,
     /// Output classes; 0 until the first step discovers the output width.
@@ -126,8 +126,7 @@ impl LaneEngine {
             policy,
             capacity,
             lanes: Vec::new(),
-            x: Vec::new(),
-            feat_dims: None,
+            stimulus: None,
             counts: Vec::new(),
             classes: 0,
             next_id: 0,
@@ -190,20 +189,26 @@ impl LaneEngine {
             [1, rest @ ..] if !rest.is_empty() => rest.to_vec(),
             dims => dims.to_vec(),
         };
-        match &self.feat_dims {
-            None => self.feat_dims = Some(dims),
-            Some(expected) if *expected == dims => {}
-            Some(expected) => {
+        let (rows, mut data) = match self.stimulus.take() {
+            None => (0, Vec::new()),
+            Some(s) if s.dims()[1..] == dims[..] => (s.dims()[0], s.into_vec()),
+            Some(s) => {
+                let expected = s.dims()[1..].to_vec();
+                self.stimulus = Some(s);
                 return Err(TensorError::InvalidArgument {
                     detail: format!(
                         "lane engine: sample dims {dims:?} do not match session dims {expected:?}"
                     ),
                 });
             }
-        }
+        };
         // Admission: one stimulus row, one zero membrane row per bank, one
         // zero count row (when the output width is already known).
-        self.x.extend_from_slice(sample.data());
+        data.extend_from_slice(sample.data());
+        let mut grown = Vec::with_capacity(dims.len() + 1);
+        grown.push(rows + 1);
+        grown.extend_from_slice(&dims);
+        self.stimulus = Some(Tensor::from_vec(Shape::new(grown), data)?);
         self.net.grow_rows(1);
         if self.classes > 0 {
             self.counts.resize(self.counts.len() + self.classes, 0.0);
@@ -233,14 +238,11 @@ impl LaneEngine {
             return Ok(Vec::new());
         }
         let active = self.lanes.len();
-        // lint: allow(P1) feat_dims is set by the first submit, and lanes
-        // is nonempty here, so at least one submit has run
-        let feat = self.feat_dims.as_ref().expect("set by first submit");
-        let mut dims = Vec::with_capacity(feat.len() + 1);
-        dims.push(active);
-        dims.extend_from_slice(feat);
-        let stimulus = Tensor::from_vec(Shape::new(dims), self.x.clone())?;
-        let spikes = self.net.step(&stimulus)?;
+        // Set by the submit that admitted the first active lane.
+        let Some(stimulus) = &self.stimulus else {
+            return Ok(Vec::new());
+        };
+        let spikes = self.net.step(stimulus)?;
         let (_, classes) = spikes.shape().as_matrix()?;
         if self.classes == 0 {
             self.classes = classes;
@@ -343,14 +345,14 @@ impl LaneEngine {
     /// the lane table (batch row `p` stays aligned with `lanes[p]`).
     fn compact(&mut self, keep: &[usize]) -> Result<()> {
         self.net.retain_rows(keep)?;
-        // lint: allow(P1) feat_dims is set before any lane can retire
-        let row = self.feat_dims.as_ref().expect("set by first submit");
-        let row: usize = row.iter().product();
-        let mut x = Vec::with_capacity(keep.len() * row);
-        for &p in keep {
-            x.extend_from_slice(&self.x[p * row..(p + 1) * row]);
+        if let Some(stimulus) = &self.stimulus {
+            let mut dims = stimulus.dims().to_vec();
+            let row: usize = dims[1..].iter().product();
+            let mut data = vec![0.0f32; keep.len() * row];
+            simd::gather_rows(simd::current(), stimulus.data(), row, keep, &mut data);
+            dims[0] = keep.len();
+            self.stimulus = Some(Tensor::from_vec(Shape::new(dims), data)?);
         }
-        self.x = x;
         let mut counts = Vec::with_capacity(keep.len() * self.classes);
         for &p in keep {
             counts.extend_from_slice(&self.counts[p * self.classes..(p + 1) * self.classes]);

@@ -1,7 +1,16 @@
 //! Synaptic operators: the weighted connections between spiking layers.
+//!
+//! Both operators have an **event path** for binary spike inputs: a spike
+//! is exactly `1.0`, so a synapse fed by an IF bank needs one add per spike
+//! and tap instead of a multiply-add per input (the paper's Eq. 1). The
+//! event path runs only when it is bitwise equal to the dense product —
+//! binary input and finite weights (see [`tcl_tensor::ops::spike_conv_applies`])
+//! — and the input alone chooses it: an IF-fed node always takes it, and an
+//! analog or pooled input keeps the dense product whenever it holds a
+//! fractional entry.
 
 use serde::{Deserialize, Serialize};
-use tcl_tensor::ops::{self, ConvGeometry};
+use tcl_tensor::ops::{self, ConvGeometry, SpikeScan};
 use tcl_tensor::{Result, Tensor, TensorError};
 
 /// A linear synaptic operator applied to spike (or analog, for the first
@@ -11,17 +20,58 @@ use tcl_tensor::{Result, Tensor, TensorError};
 /// data-normalization of Eq. 5 divides them by the layer's own norm-factor.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum SynapticOp {
-    /// Convolutional connectivity.
-    Conv {
-        /// Kernel, `[out_c, in_c, kh, kw]`.
-        weight: Tensor,
-        /// Optional per-channel bias current.
-        bias: Option<Tensor>,
-        /// Convolution geometry.
-        geom: ConvGeometry,
-    },
+    /// Convolutional connectivity; build it with [`SynapticOp::conv`].
+    Conv(ConvSynapse),
     /// Fully connected connectivity; build it with [`SynapticOp::linear`].
     Linear(LinearSynapse),
+}
+
+/// The weights of a convolutional synapse, in the two layouts its current
+/// kernels read: the `[O, C, kh, kw]` kernel the im2col + GEMM path
+/// multiplies, and the tap-major `[C, kh, kw, O]` vectors (see
+/// [`ops::ConvTaps`]) the event path adds per spike.
+///
+/// Both are laid out once, when the operator is built at conversion, along
+/// with whether every weight is finite; [`SynapticOp::scale_weights`] keeps
+/// the three in step.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ConvSynapse {
+    /// Kernel, `[O, C, kh, kw]`.
+    weight: Tensor,
+    /// Tap vectors for the event path.
+    taps: ops::ConvTaps,
+    /// Optional per-channel bias current, `[O]`.
+    bias: Option<Tensor>,
+    geom: ConvGeometry,
+    /// Every weight is finite, so skipping zero inputs is exact.
+    finite: bool,
+}
+
+impl ConvSynapse {
+    /// The convolution geometry.
+    pub fn geom(&self) -> ConvGeometry {
+        self.geom
+    }
+
+    /// Output channels (`O`).
+    pub fn out_channels(&self) -> usize {
+        self.weight.dims()[0]
+    }
+
+    /// Whether an input with this scan takes the event path.
+    fn event_path(&self, scan: SpikeScan) -> bool {
+        ops::spike_conv_applies(self.geom, self.finite, scan)
+    }
+
+    /// The input current: the event path on binary spikes, else im2col +
+    /// GEMM. Both produce the same bits (see the module docs).
+    fn current(&self, input: &Tensor, scan: SpikeScan) -> Result<Tensor> {
+        if self.event_path(scan) {
+            ops::conv2d_spikes(input, &self.taps, self.bias.as_ref(), self.geom)
+        } else {
+            ops::conv2d(input, &self.weight, self.bias.as_ref(), self.geom)
+        }
+    }
 }
 
 /// The weights of a fully connected synapse, stored as the `[in_f, out_f]`
@@ -36,6 +86,8 @@ pub struct LinearSynapse {
     panel: Tensor,
     /// Optional bias current, `[out_f]`.
     bias: Option<Tensor>,
+    /// Every weight is finite, so skipping zero inputs is exact.
+    finite: bool,
 }
 
 impl LinearSynapse {
@@ -54,24 +106,30 @@ impl LinearSynapse {
         &self.panel
     }
 
-    /// Computes `input @ Wᵀ + b`, routing mostly-zero spike matrices through
-    /// the sparse-row kernel. `nonzero` is the caller's count of nonzero
-    /// `input` entries.
+    /// Whether an input with this scan takes the event path.
+    fn event_path(&self, scan: SpikeScan) -> bool {
+        scan.binary && self.finite
+    }
+
+    /// Computes `input @ Wᵀ + b`, routing spike rasters and mostly-zero
+    /// inputs through the sparse-row kernel.
     ///
     /// Both paths read the stored panel; the sparse kernel then skips zero
-    /// input entries (a spike raster is mostly zeros), while the dense
-    /// blocked kernel wins once average activity is high. The crossover
-    /// sits at ~12.5% activity: both kernels run SIMD row updates, but the
-    /// dense kernel's packed register tiles still move roughly twice the
-    /// useful flops per cycle, so the skip must eliminate well over half
-    /// the rows to pay for its strided access. Results agree within
-    /// per-element rounding: both kernels accumulate each output element in
-    /// ascending input order, and the zero-skip drops exact zeros only,
-    /// which is safe because converted weights are finite — but the dense
-    /// tile may fuse multiply-adds at the AVX2 dispatch level while the
-    /// sparse path rounds each step, so the two paths are bitwise identical
-    /// only under `TCL_SIMD=scalar` (or `wide`).
-    fn current(&self, input: &Tensor, nonzero: usize) -> Result<Tensor> {
+    /// input entries. On binary input (the event path) it always runs: each
+    /// surviving update is `1·w`, an exact add, so it equals the dense
+    /// product bitwise at every SIMD level. On other input it runs below
+    /// ~12.5% activity, where the skip pays for its strided access: the
+    /// dense kernel's packed register tiles move roughly twice the useful
+    /// flops per cycle, so the skip must eliminate well over half the rows.
+    /// There the two paths agree within per-element rounding: both
+    /// accumulate each output element in ascending input order, but the
+    /// dense tile may fuse multiply-adds at the AVX2 dispatch level while
+    /// the sparse path rounds each step.
+    ///
+    /// Skipping is exact only for finite weights (`0·NaN` is NaN), so a
+    /// synapse with a non-finite weight always takes the dense kernel and
+    /// its outputs do not depend on spike density.
+    fn current(&self, input: &Tensor, scan: SpikeScan) -> Result<Tensor> {
         let (rows, in_f) = input.shape().as_matrix()?;
         let (wk, out_f) = (self.in_features(), self.out_features());
         if wk != in_f {
@@ -81,8 +139,15 @@ impl LinearSynapse {
             });
         }
         let mut out = Tensor::zeros([rows, out_f]);
-        if nonzero * 8 >= rows * in_f {
-            ops::matmul_into(
+        let sparse = self.event_path(scan) || (self.finite && scan.nonzero * 8 < rows * in_f);
+        if sparse {
+            if tcl_telemetry::metrics_enabled() {
+                tcl_telemetry::counter_add(
+                    "snn.zero_skips",
+                    ((rows * in_f - scan.nonzero) * out_f) as u64,
+                );
+            }
+            ops::matmul_into_sparse(
                 input.data(),
                 self.panel.data(),
                 out.data_mut(),
@@ -91,13 +156,7 @@ impl LinearSynapse {
                 out_f,
             );
         } else {
-            if tcl_telemetry::metrics_enabled() {
-                tcl_telemetry::counter_add(
-                    "snn.zero_skips",
-                    ((rows * in_f - nonzero) * out_f) as u64,
-                );
-            }
-            ops::matmul_into_sparse(
+            ops::matmul_into(
                 input.data(),
                 self.panel.data(),
                 out.data_mut(),
@@ -117,13 +176,42 @@ impl LinearSynapse {
     }
 }
 
-/// Nonzero entries of `data` — spikes, or analog currents for the first
-/// layer.
-fn count_nonzero(data: &[f32]) -> usize {
-    data.iter().filter(|&&v| v != 0.0).count()
+/// Whether every entry of `t` is finite.
+fn all_finite(t: &Tensor) -> bool {
+    t.data().iter().all(|v| v.is_finite())
 }
 
 impl SynapticOp {
+    /// Builds a convolutional operator from an `[O, C, kh, kw]` kernel, an
+    /// optional `[O]` bias and its geometry, laying the weights out in both
+    /// layouts the per-timestep kernels read (see [`ConvSynapse`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `weight` is not rank 4, its kernel extents
+    /// disagree with `geom`, or the bias length is not `O`.
+    pub fn conv(weight: Tensor, bias: Option<Tensor>, geom: ConvGeometry) -> Result<Self> {
+        let (out_c, _, kh, kw) = weight.shape().as_nchw()?;
+        if kh != geom.kernel_h || kw != geom.kernel_w {
+            return Err(TensorError::InvalidArgument {
+                detail: format!(
+                    "weight kernel {kh}x{kw} disagrees with geometry {}x{}",
+                    geom.kernel_h, geom.kernel_w
+                ),
+            });
+        }
+        check_bias(bias.as_ref(), out_c)?;
+        let taps = ops::ConvTaps::new(&weight)?;
+        let finite = all_finite(&weight);
+        Ok(SynapticOp::Conv(ConvSynapse {
+            weight,
+            taps,
+            bias,
+            geom,
+            finite,
+        }))
+    }
+
     /// Builds a fully connected operator from an `[out_f, in_f]` weight
     /// matrix and an optional `[out_f]` bias, laying the weights out as the
     /// panel the per-timestep kernels read (see [`LinearSynapse`]).
@@ -134,41 +222,46 @@ impl SynapticOp {
     /// `out_f`.
     pub fn linear(weight: Tensor, bias: Option<Tensor>) -> Result<Self> {
         let (out_f, in_f) = weight.shape().as_matrix()?;
-        if let Some(b) = &bias {
-            if b.len() != out_f {
-                return Err(TensorError::LengthMismatch {
-                    expected: out_f,
-                    actual: b.len(),
-                });
-            }
-        }
+        check_bias(bias.as_ref(), out_f)?;
         let mut panel = Tensor::zeros([in_f, out_f]);
         ops::transpose_into(weight.data(), panel.data_mut(), out_f, in_f);
-        Ok(SynapticOp::Linear(LinearSynapse { panel, bias }))
+        let finite = all_finite(&panel);
+        Ok(SynapticOp::Linear(LinearSynapse {
+            panel,
+            bias,
+            finite,
+        }))
     }
 
     /// Applies the operator to an input tensor.
+    ///
+    /// One scan of `input` yields its nonzero count and whether it is a
+    /// binary spike raster; that serves the synop counter, the choice of
+    /// the event path and the linear density gate.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the underlying kernel.
     pub fn apply(&self, input: &Tensor) -> Result<Tensor> {
-        // One nonzero scan serves both the synop counter and the linear
-        // density gate.
-        let metrics = tcl_telemetry::metrics_enabled();
-        let nonzero = if metrics || matches!(self, SynapticOp::Linear(_)) {
-            count_nonzero(input.data())
-        } else {
-            0
-        };
-        if metrics {
-            tcl_telemetry::counter_add("snn.synops", (nonzero * self.fanout()) as u64);
+        let scan = SpikeScan::of(input.data());
+        if tcl_telemetry::metrics_enabled() {
+            tcl_telemetry::counter_add("snn.synops", (scan.nonzero * self.fanout()) as u64);
         }
         match self {
-            SynapticOp::Conv { weight, bias, geom } => {
-                ops::conv2d(input, weight, bias.as_ref(), *geom)
-            }
-            SynapticOp::Linear(synapse) => synapse.current(input, nonzero),
+            SynapticOp::Conv(synapse) => synapse.current(input, scan),
+            SynapticOp::Linear(synapse) => synapse.current(input, scan),
+        }
+    }
+
+    /// Whether [`SynapticOp::apply`] runs the event path on `input`: one add
+    /// per nonzero input and tap (accumulates), not a multiply-add per input
+    /// (MACs). True for binary spike input when every weight is finite and,
+    /// for a convolution, the geometry fits [`ops::conv2d_spikes`].
+    pub fn is_event_driven(&self, input: &Tensor) -> bool {
+        let scan = SpikeScan::of(input.data());
+        match self {
+            SynapticOp::Conv(synapse) => synapse.event_path(scan),
+            SynapticOp::Linear(synapse) => synapse.event_path(scan),
         }
     }
 
@@ -176,8 +269,8 @@ impl SynapticOp {
     /// convolution (ignoring border truncation), `out_f` for a linear map.
     fn fanout(&self) -> usize {
         match self {
-            SynapticOp::Conv { weight, .. } => {
-                weight.len() / weight.dims().get(1).copied().unwrap_or(1).max(1)
+            SynapticOp::Conv(synapse) => {
+                synapse.out_channels() * synapse.geom.kernel_h * synapse.geom.kernel_w
             }
             SynapticOp::Linear(synapse) => synapse.out_features(),
         }
@@ -193,22 +286,30 @@ impl SynapticOp {
     /// telemetry counter; it is public so the engine can report per-sample
     /// synop savings without a metrics sink attached.
     pub fn synop_estimate(&self, input: &Tensor) -> u64 {
-        (count_nonzero(input.data()) * self.fanout()) as u64
+        (SpikeScan::of(input.data()).nonzero * self.fanout()) as u64
     }
 
     /// Number of synaptic weights (a cost/energy proxy).
     pub fn weight_count(&self) -> usize {
         match self {
-            SynapticOp::Conv { weight, .. } => weight.len(),
+            SynapticOp::Conv(synapse) => synapse.weight.len(),
             SynapticOp::Linear(synapse) => synapse.panel.len(),
         }
     }
 
-    /// Scales all weights in place (used by conversion tests).
+    /// Scales all weights in place (used by conversion tests), keeping
+    /// every stored layout and the finiteness flag in step.
     pub fn scale_weights(&mut self, factor: f32) {
         match self {
-            SynapticOp::Conv { weight, .. } => weight.scale_inplace(factor),
-            SynapticOp::Linear(synapse) => synapse.panel.scale_inplace(factor),
+            SynapticOp::Conv(synapse) => {
+                synapse.weight.scale_inplace(factor);
+                synapse.taps.scale_inplace(factor);
+                synapse.finite = all_finite(&synapse.weight);
+            }
+            SynapticOp::Linear(synapse) => {
+                synapse.panel.scale_inplace(factor);
+                synapse.finite = all_finite(&synapse.panel);
+            }
         }
     }
 
@@ -216,12 +317,23 @@ impl SynapticOp {
     /// balancing divides it by the preceding layers' threshold product).
     pub fn scale_bias(&mut self, factor: f32) {
         let bias = match self {
-            SynapticOp::Conv { bias, .. } => bias,
+            SynapticOp::Conv(synapse) => &mut synapse.bias,
             SynapticOp::Linear(synapse) => &mut synapse.bias,
         };
         if let Some(b) = bias {
             b.scale_inplace(factor);
         }
+    }
+}
+
+/// Rejects a bias whose length is not the operator's output width.
+fn check_bias(bias: Option<&Tensor>, outputs: usize) -> Result<()> {
+    match bias {
+        Some(b) if b.len() != outputs => Err(TensorError::LengthMismatch {
+            expected: outputs,
+            actual: b.len(),
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -243,11 +355,12 @@ mod tests {
 
     #[test]
     fn conv_op_applies_geometry() {
-        let op = SynapticOp::Conv {
-            weight: Tensor::ones([1, 1, 2, 2]),
-            bias: None,
-            geom: ConvGeometry::square(2, 2, 0).unwrap(),
-        };
+        let op = SynapticOp::conv(
+            Tensor::ones([1, 1, 2, 2]),
+            None,
+            ConvGeometry::square(2, 2, 0).unwrap(),
+        )
+        .unwrap();
         let x = Tensor::from_fn([1, 1, 2, 2], |i| i as f32);
         let y = op.apply(&x).unwrap();
         assert_eq!(y.data(), &[6.0]);
@@ -268,13 +381,78 @@ mod tests {
         let linear = SynapticOp::linear(Tensor::ones([3, 4]), None).unwrap();
         let x = Tensor::from_vec([1, 4], vec![1.0, 0.0, 0.5, 0.0]).unwrap();
         assert_eq!(linear.synop_estimate(&x), 6); // 2 nonzeros × 3 outputs
-        let conv = SynapticOp::Conv {
-            weight: Tensor::ones([2, 1, 2, 2]),
-            bias: None,
-            geom: ConvGeometry::square(2, 1, 0).unwrap(),
-        };
+        let conv = SynapticOp::conv(
+            Tensor::ones([2, 1, 2, 2]),
+            None,
+            ConvGeometry::square(2, 1, 0).unwrap(),
+        )
+        .unwrap();
         let x = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
         assert_eq!(conv.synop_estimate(&x), 16); // 2 nonzeros × (2·2·2)
+    }
+
+    #[test]
+    fn conv_constructor_validates_rank_kernel_and_bias() {
+        let geom = ConvGeometry::square(3, 1, 1).unwrap();
+        assert!(SynapticOp::conv(Tensor::zeros([2, 1, 3]), None, geom).is_err());
+        assert!(SynapticOp::conv(Tensor::zeros([2, 1, 2, 2]), None, geom).is_err());
+        let bias = Some(Tensor::zeros([3]));
+        assert!(SynapticOp::conv(Tensor::zeros([2, 1, 3, 3]), bias, geom).is_err());
+        assert!(
+            SynapticOp::conv(Tensor::zeros([2, 1, 3, 3]), Some(Tensor::zeros([2])), geom).is_ok()
+        );
+    }
+
+    /// A NaN weight must reach the output whatever the input density: the
+    /// zero-skip would drop `0·NaN`, so every skip path stays off.
+    #[test]
+    fn non_finite_weights_keep_every_skip_path_off() {
+        let mut weight = Tensor::ones([2, 16]);
+        weight.data_mut()[3] = f32::NAN; // output 0, input 3
+        let op = SynapticOp::linear(weight, None).unwrap();
+        let sparse_analog = Tensor::from_fn([1, 16], |i| if i == 0 { 0.5 } else { 0.0 });
+        let dense_analog = Tensor::from_fn([1, 16], |i| if i < 6 && i != 3 { 0.5 } else { 0.0 });
+        let spikes = Tensor::from_fn([1, 16], |i| if i == 0 { 1.0 } else { 0.0 });
+        for x in [&sparse_analog, &dense_analog, &spikes] {
+            assert!(!op.is_event_driven(x));
+            let y = op.apply(x).unwrap();
+            assert!(y.data()[0].is_nan(), "input {x}: {y}");
+            assert!(y.data()[1].is_finite(), "input {x}: {y}");
+        }
+
+        let mut kernel = Tensor::ones([1, 1, 3, 3]);
+        kernel.data_mut()[4] = f32::INFINITY;
+        let op = SynapticOp::conv(kernel, None, ConvGeometry::square(3, 1, 1).unwrap()).unwrap();
+        let x = Tensor::from_fn([1, 1, 4, 4], |i| if i == 0 { 1.0 } else { 0.0 });
+        assert!(!op.is_event_driven(&x));
+        // Every output's centre tap reads a zero or the spike: inf·0 is NaN.
+        let y = op.apply(&x).unwrap();
+        assert!(
+            y.data().iter().all(|v| v.is_nan() || v.is_infinite()),
+            "{y}"
+        );
+        assert!(y.data()[1].is_nan(), "{y}");
+    }
+
+    #[test]
+    fn scale_weights_keeps_layouts_and_finiteness_in_step() {
+        let geom = ConvGeometry::square(3, 1, 1).unwrap();
+        let weight = Tensor::from_fn([2, 2, 3, 3], |i| (i as f32 * 0.37).sin());
+        let mut op = SynapticOp::conv(weight.clone(), None, geom).unwrap();
+        op.scale_weights(0.3);
+        let x = Tensor::from_fn([1, 2, 5, 5], |i| f32::from(i % 3 == 0));
+        assert!(op.is_event_driven(&x));
+        let want = ops::conv2d(&x, &weight.scale(0.3), None, geom).unwrap();
+        let got = op.apply(&x).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        op.scale_weights(f32::INFINITY);
+        assert!(!op.is_event_driven(&x));
+        let mut linear = SynapticOp::linear(Tensor::ones([2, 2]), None).unwrap();
+        let spikes = Tensor::ones([1, 2]);
+        assert!(linear.is_event_driven(&spikes));
+        linear.scale_weights(f32::NAN);
+        assert!(!linear.is_event_driven(&spikes));
     }
 
     #[test]

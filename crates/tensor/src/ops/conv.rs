@@ -6,6 +6,10 @@
 //! product. The backward pass reuses the same lowering: `col2im` is the exact
 //! adjoint of `im2col` (a property-tested invariant), which makes input
 //! gradients a transpose-product followed by re-folding.
+//!
+//! A binary spike raster has a cheaper forward pass: [`conv2d_spikes`] adds
+//! one tap vector per spike and tap, with no multiply and no lowering, and
+//! where [`spike_conv_applies`] holds it returns [`conv2d`]'s exact bits.
 
 use crate::error::{Result, TensorError};
 use crate::ops::matmul::{matmul_into, transpose_into};
@@ -401,6 +405,297 @@ pub fn conv2d(
                 let src = &input.data()[ni * item_in..(ni + 1) * item_in];
                 im2col_single(src, c, h, w, geom, out_h, out_w, &mut cols);
                 matmul_into(weight.data(), &cols, dst, out_c, col_rows, col_width);
+                if let Some(b) = bias {
+                    for (o, &bv) in b.data().iter().enumerate() {
+                        for v in dst[o * col_width..(o + 1) * col_width].iter_mut() {
+                            *v += bv;
+                        }
+                    }
+                }
+            }
+        },
+    );
+    Ok(out)
+}
+
+/// One pass over a synaptic input: how many entries are nonzero, and
+/// whether every entry is exactly `0.0` (either sign) or `1.0` — a binary
+/// spike raster.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpikeScan {
+    /// Nonzero entries.
+    pub nonzero: usize,
+    /// Every entry is `±0.0` or `1.0` (NaN is not).
+    pub binary: bool,
+}
+
+impl SpikeScan {
+    /// Scans `data` once. Counts accumulate per 1024-entry run in `u32`
+    /// and the tests are combined with `&`/`|`, not short-circuits, so the
+    /// loop vectorizes.
+    pub fn of(data: &[f32]) -> Self {
+        let mut nonzero = 0usize;
+        let mut odd = 0u32;
+        for run in data.chunks(1024) {
+            let mut count = 0u32;
+            for &v in run {
+                count += u32::from(v != 0.0);
+                odd |= u32::from((v != 0.0) & (v != 1.0));
+            }
+            nonzero += count as usize;
+        }
+        SpikeScan {
+            nonzero,
+            binary: odd == 0,
+        }
+    }
+}
+
+/// Whether [`conv2d_spikes`] handles `geom`: stride 1 and padding at most
+/// one less than each kernel extent, so every output window lies inside
+/// the accumulator margin.
+pub fn spike_conv_fits(geom: ConvGeometry) -> bool {
+    geom.stride == 1 && geom.padding < geom.kernel_h && geom.padding < geom.kernel_w
+}
+
+/// Whether the event path computes [`conv2d`]'s bits for this call: the
+/// input is binary, every weight is finite and the geometry fits.
+///
+/// A spike is exactly `1.0`, so `fma(w, 1, acc)` and `acc + w·1` both
+/// round to `acc + w`; a skipped zero input would have added `±0`, which
+/// changes nothing because an accumulator that starts at `+0` and adds
+/// finite weights is never `-0`. The event path visits spikes in
+/// ascending `(c, y, x)` order, which visits each output's taps in the
+/// GEMM's ascending `(c, kh, kw)` order. A non-finite weight breaks the
+/// second step (`0·inf` is NaN), so it keeps the GEMM.
+pub fn spike_conv_applies(geom: ConvGeometry, weights_finite: bool, scan: SpikeScan) -> bool {
+    scan.binary && weights_finite && spike_conv_fits(geom)
+}
+
+/// Lanes per tap block: each tap vector is padded to whole 8-lane blocks.
+const LANES: usize = 8;
+
+/// An `[O, C, kh, kw]` kernel laid out as the tap vectors
+/// [`conv2d_spikes`] adds: `[C, kh, kw, O']`, with `O` padded with zeros
+/// to `O'`, the next multiple of 8, and both kernel axes reversed, so
+/// entry `[c][kh-1-a][kw-1-b][o]` holds `weight[o][c][a][b]`.
+///
+/// Whole 8-lane blocks make every tap add a run of full vector adds, for
+/// any `O`. Reversed, the `kw` taps one spike adds along an accumulator
+/// row sit in ascending order, so each kernel row is one contiguous run of
+/// `kw·O'` lanes in both operands. Build it once per kernel, not per call.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ConvTaps {
+    /// `[C, kh, kw, O']`.
+    taps: Tensor,
+    /// `O`.
+    out_c: usize,
+}
+
+impl ConvTaps {
+    /// Lays `weight` out as tap vectors.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `weight` is not rank 4.
+    pub fn new(weight: &Tensor) -> Result<Self> {
+        let (out_c, c, kh, kw) = weight.shape().as_nchw()?;
+        let padded = out_c.div_ceil(LANES) * LANES;
+        let mut taps = Tensor::zeros([c, kh, kw, padded]);
+        let src = weight.data();
+        for (t, dst) in taps.data_mut().chunks_exact_mut(padded.max(1)).enumerate() {
+            let (ci, a, b) = (t / (kh * kw), kh - 1 - t / kw % kh, kw - 1 - t % kw);
+            for (o, d) in dst[..out_c].iter_mut().enumerate() {
+                *d = src[((o * c + ci) * kh + a) * kw + b];
+            }
+        }
+        Ok(ConvTaps { taps, out_c })
+    }
+
+    /// The padded `[C, kh, kw, O']` tap tensor.
+    pub fn taps(&self) -> &Tensor {
+        &self.taps
+    }
+
+    /// Output channels (`O`, before padding).
+    pub fn out_channels(&self) -> usize {
+        self.out_c
+    }
+
+    /// Scales every tap in place, as scaling the kernel would.
+    pub fn scale_inplace(&mut self, factor: f32) {
+        self.taps.scale_inplace(factor);
+    }
+}
+
+/// `dst += src`, one 8-lane vector add per block. Plain adds round the
+/// same at every vector width, so this needs no dispatch.
+#[inline]
+fn add_blocks(dst: &mut [[f32; LANES]], src: &[[f32; LANES]]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        for lane in 0..LANES {
+            d[lane] += s[lane];
+        }
+    }
+}
+
+/// Nonzero lanes of a block of at most 16 entries as a bit mask (lane `l`
+/// is bit `l`). A full block forms each lane's bit separately and then
+/// OR-reduces them, so its compares run as vector ops.
+#[inline]
+fn nonzero_mask(block: &[f32]) -> u64 {
+    let mut bits = [0u32; 16];
+    if let Ok(full) = <&[f32; 16]>::try_from(block) {
+        for (lane, (bit, &v)) in bits.iter_mut().zip(full).enumerate() {
+            *bit = u32::from(v != 0.0) << lane;
+        }
+    } else {
+        for (lane, (bit, &v)) in bits.iter_mut().zip(block).enumerate() {
+            *bit = u32::from(v != 0.0) << lane;
+        }
+    }
+    u64::from(bits.iter().fold(0, |m, &b| m | b))
+}
+
+/// Calls `f` with the index of every nonzero entry of `plane`, ascending.
+/// Each 64-entry word gets a nonzero mask, built 16 lanes at a time, and
+/// its set bits are walked: the zeros of a sparse raster cost no branch,
+/// and the walk's exit branch is taken once per word.
+#[inline]
+fn for_each_nonzero(plane: &[f32], mut f: impl FnMut(usize)) {
+    for (word, entries) in plane.chunks(64).enumerate() {
+        let mut mask = entries
+            .chunks(16)
+            .enumerate()
+            .fold(0u64, |m, (block, lanes)| {
+                m | nonzero_mask(lanes) << (16 * block)
+            });
+        while mask != 0 {
+            f(word * 64 + mask.trailing_zeros() as usize);
+            mask &= mask - 1;
+        }
+    }
+}
+
+/// Event-driven forward convolution of a binary spike raster: every
+/// nonzero input entry adds its tap vectors, with no multiply and no
+/// im2col.
+///
+/// * `input` — `[N, C, H, W]`, read as spikes: any nonzero entry counts
+///   as `1.0`
+/// * `taps` — the kernel as [`ConvTaps`]
+/// * `bias` — optional `[O]`
+///
+/// Returns `[N, O, out_h, out_w]`. When [`spike_conv_applies`] holds, the
+/// result is bitwise equal to [`conv2d`] on the same kernel at every SIMD
+/// level; the kernel itself only adds, so it reads no dispatch level.
+///
+/// Each item accumulates into a zeroed `[H+kh-1][W+kw-1][O']` margin
+/// buffer: a spike at `(y, x)` adds kernel row `a` of its channel's taps
+/// to the `kw` cells from `(y+a, x)`, so no tap needs a bounds test.
+/// Spikes are visited plane by plane in ascending `(y, x)` order. The
+/// in-image window is then copied out as `[O, out_h, out_w]` and the bias
+/// added, in the order [`conv2d`] adds it.
+///
+/// # Errors
+///
+/// Returns an error if the input is not rank 4, the taps' channels or
+/// kernel disagree with the input or the geometry, the bias length differs
+/// from `O`, the kernel does not fit the padded input, or
+/// [`spike_conv_fits`] does not hold.
+pub fn conv2d_spikes(
+    input: &Tensor,
+    taps: &ConvTaps,
+    bias: Option<&Tensor>,
+    geom: ConvGeometry,
+) -> Result<Tensor> {
+    let (n, c, h, w) = input.shape().as_nchw()?;
+    let (tc, kh, kw, padded) = taps.taps.shape().as_nchw()?;
+    let out_c = taps.out_c;
+    if tc != c {
+        return Err(TensorError::ShapeMismatch {
+            left: input.dims().to_vec(),
+            right: taps.taps.dims().to_vec(),
+        });
+    }
+    if kh != geom.kernel_h || kw != geom.kernel_w || !spike_conv_fits(geom) {
+        return Err(TensorError::InvalidArgument {
+            detail: format!(
+                "spike conv: taps {kh}x{kw} with geometry {geom:?} (needs stride 1, padding < kernel)"
+            ),
+        });
+    }
+    if let Some(b) = bias {
+        if b.len() != out_c {
+            return Err(TensorError::LengthMismatch {
+                expected: out_c,
+                actual: b.len(),
+            });
+        }
+    }
+    let (out_h, out_w) = geom.output_hw(h, w)?;
+    let _span = tcl_telemetry::span_with("conv2d_spikes", || {
+        vec![
+            ("batch", n as f64),
+            ("in_c", c as f64),
+            ("out_c", out_c as f64),
+            ("out_h", out_h as f64),
+            ("out_w", out_w as f64),
+        ]
+    });
+    // Blocks per cell, per kernel row, and per accumulator row.
+    let cell_blocks = padded / LANES;
+    let row_blocks = kw * cell_blocks;
+    let (mh, mw) = (h + kh - 1, w + kw - 1);
+    let stride_blocks = mw * cell_blocks;
+    // Output (oy, ox) sits at margin cell (oy + top, ox + left).
+    let (top, left) = (kh - 1 - geom.padding, kw - 1 - geom.padding);
+    let (tap_blocks, _) = taps.taps.data().as_chunks::<LANES>();
+    // The first block of the margin cell each input position lands on.
+    let cell_of: Vec<usize> = (0..h * w)
+        .map(|p| p / w * stride_blocks + p % w * cell_blocks)
+        .collect();
+    let col_width = out_h * out_w;
+    let item_in = c * h * w;
+    let item_out = out_c * col_width;
+    let mut out = Tensor::zeros([n, out_c, out_h, out_w]);
+    // The dense add count, as conv2d estimates its multiply-adds.
+    let min_items = min_items_per_worker(item_in * kh * kw * out_c);
+    par::par_items_mut(
+        par::current(),
+        out.data_mut(),
+        item_out,
+        1,
+        min_items,
+        |first_item, run| {
+            let mut acc = vec![[0.0f32; LANES]; mh * stride_blocks];
+            for (i, dst) in run.chunks_exact_mut(item_out.max(1)).enumerate() {
+                let ni = first_item + i;
+                let src = &input.data()[ni * item_in..(ni + 1) * item_in];
+                acc.fill([0.0; LANES]);
+                for (plane, kernel) in src
+                    .chunks_exact((h * w).max(1))
+                    .zip(tap_blocks.chunks_exact((kh * row_blocks).max(1)))
+                {
+                    for_each_nonzero(plane, |p| {
+                        let mut cell = cell_of[p];
+                        for tap_row in kernel.chunks_exact(row_blocks) {
+                            add_blocks(&mut acc[cell..cell + row_blocks], tap_row);
+                            cell += stride_blocks;
+                        }
+                    });
+                }
+                for oy in 0..out_h {
+                    let start = (oy + top) * stride_blocks + left * cell_blocks;
+                    let cells = &acc[start..start + out_w * cell_blocks];
+                    for (o, dst_plane) in dst.chunks_exact_mut(col_width.max(1)).enumerate() {
+                        let (block, lane) = (o / LANES, o % LANES);
+                        let dst_row = &mut dst_plane[oy * out_w..(oy + 1) * out_w];
+                        for (ox, d) in dst_row.iter_mut().enumerate() {
+                            *d = cells[ox * cell_blocks + block][lane];
+                        }
+                    }
+                }
                 if let Some(b) = bias {
                     for (o, &bv) in b.data().iter().enumerate() {
                         for v in dst[o * col_width..(o + 1) * col_width].iter_mut() {

@@ -9,8 +9,9 @@ mod pool;
 mod reduce;
 
 pub use conv::{
-    col2im_single, conv2d, conv2d_backward, conv2d_naive, im2col_single, im2col_transposed_single,
-    Conv2dGradients, ConvGeometry,
+    col2im_single, conv2d, conv2d_backward, conv2d_naive, conv2d_spikes, im2col_single,
+    im2col_transposed_single, spike_conv_applies, spike_conv_fits, Conv2dGradients, ConvGeometry,
+    ConvTaps, SpikeScan,
 };
 pub use matmul::{
     matmul, matmul_into, matmul_into_naive, matmul_into_sparse, matmul_into_with, matmul_nt,
