@@ -172,13 +172,18 @@ done
 echo "==> checkpoint/resume crash-safety suite (bit-exact kill-and-resume)"
 cargo test --release -q -p tcl-nn --test checkpoint_resume
 
-echo "==> tcl-serve: load-simulation + fault-injection suites (thread matrix)"
+echo "==> tcl-serve: load-simulation + fault-injection suites (SIMD x thread matrix)"
 # The serving core is virtual-clock deterministic: the sim-load suite pins
 # completion-order fingerprints that must be byte-identical across worker
-# counts, so the whole suite runs as separate processes at each setting.
-for t in 1 4; do
-  echo "==> cargo test -p tcl-serve --tests (TCL_THREADS=$t)"
-  TCL_THREADS=$t cargo test -q -p tcl-serve --tests
+# counts and SIMD levels (lane admission computes each lane's node-0
+# current alone, so its bits must not depend on the level either), so the
+# whole suite runs as separate processes at each setting — the same matrix
+# as tcl-tensor/tcl-snn above.
+for isa in scalar native; do
+  for t in 1 4; do
+    echo "==> cargo test -p tcl-serve --tests (TCL_SIMD=$isa TCL_THREADS=$t)"
+    TCL_SIMD=$isa TCL_THREADS=$t cargo test -q -p tcl-serve --tests
+  done
 done
 ./target/release/tcl_serve --help | grep -q TCL_SERVE_ADDR
 # Negative control: a request body cut off mid-transfer must resolve to a
@@ -189,7 +194,7 @@ if ! printf '%s\n' "$serve_out" | grep -q '1 passed'; then
   printf '%s\n' "$serve_out" >&2
   exit 1
 fi
-echo "tcl-serve OK (deterministic across TCL_THREADS={1,4} + truncated-body control)"
+echo "tcl-serve OK (deterministic across TCL_SIMD={scalar,native} x TCL_THREADS={1,4} + truncated-body control)"
 
 echo "==> tcl-serve: loopback soak (real sockets, reused connections)"
 # Drives the real tcl_serve binary over loopback TCP with kept-alive

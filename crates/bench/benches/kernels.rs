@@ -200,6 +200,17 @@ fn bench_conv_spikes(c: &mut Criterion) {
     }
 }
 
+/// CNN-6's first pool (node 2): 2×2, stride 2 over a batch of 5 `[8, 16,
+/// 16]` inputs, the per-timestep call the 2×2 loop in `ops::avg_pool2d`
+/// exists for.
+fn bench_avg_pool(c: &mut Criterion) {
+    let mut rng = SeededRng::new(11);
+    let x = rng.uniform_tensor([5, 8, 16, 16], 0.0, 1.0);
+    c.bench_function("avg_pool2d_2x2_8x16x16_batch5", |bench| {
+        bench.iter(|| ops::avg_pool2d(black_box(&x), 2, 2).unwrap())
+    });
+}
+
 /// CNN-6's `256→128` fully connected synapse on a batch of 5 pooled-spike
 /// rows (multiples of 1/4, half of them nonzero, so the dense branch runs):
 /// the per-timestep call the stored weight panel exists for.
@@ -357,6 +368,7 @@ criterion_group!(
         bench_if_step,
         bench_conv2d,
         bench_conv_spikes,
+        bench_avg_pool,
         bench_linear_synop,
         bench_ann_forward,
         bench_snn_step,

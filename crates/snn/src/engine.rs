@@ -27,7 +27,7 @@
 //! per-sample exit steps, predictions at exit, the aggregated margin
 //! trajectory ([`MarginTrace`]), and the total timesteps saved.
 
-use crate::network::SpikingNetwork;
+use crate::network::{gather_lanes, Drive, SpikingNetwork};
 use crate::sim::{InputCoding, Readout, SimConfig, SweepResult};
 use crate::trace::MarginTrace;
 use serde::{Deserialize, Serialize};
@@ -477,27 +477,6 @@ fn gather_rows(data: &Tensor, start: usize, end: usize) -> Result<Tensor> {
     )
 }
 
-/// Gathers arbitrary rows (`lanes`) of `data` along the first dimension.
-///
-/// The copy itself runs through the SIMD `gather_rows` kernel (a straight
-/// bit copy at every dispatch level); bounds are validated here first so
-/// the engine keeps returning `Err` instead of panicking on a bad lane.
-fn gather_lanes(data: &Tensor, lanes: &[usize]) -> Result<Tensor> {
-    let dims = data.dims();
-    let n = dims[0];
-    if let Some(&bad) = lanes.iter().find(|&&lane| lane >= n) {
-        return Err(TensorError::InvalidArgument {
-            detail: format!("lane {bad} out of bounds for {n} rows"),
-        });
-    }
-    let row = data.len() / n.max(1);
-    let mut out = vec![0.0f32; lanes.len() * row];
-    simd::gather_rows(simd::current(), data.data(), row, lanes, &mut out);
-    let mut out_dims = dims.to_vec();
-    out_dims[0] = lanes.len();
-    Tensor::from_vec(Shape::new(out_dims), out)
-}
-
 /// Top-1 index and top-1 minus top-2 gap of a score row, with the same tie
 /// rule as [`ops::argmax_rows`] (strict `>`, first index wins). A one-class
 /// row has an infinite margin (there is no runner-up to overtake).
@@ -557,13 +536,32 @@ fn run_batch(net: &mut SpikingNetwork, job: &Job, batch_index: usize) -> Result<
     }
 }
 
-/// Derives the per-batch Poisson stream (independent of execution order).
-fn batch_rng(input_coding: InputCoding, batch_index: u64) -> Option<SeededRng> {
-    match input_coding {
-        InputCoding::Analog => None,
-        InputCoding::Poisson { seed } => {
-            Some(SeededRng::new(seed ^ batch_index.wrapping_mul(0x9E37_79B9)))
-        }
+/// How a batch's stimulus reaches node 0 on each timestep.
+enum Stimulus {
+    /// Real coding: the stimulus is constant, so node 0's current is
+    /// computed once per batch and read on every step; the analog rows are
+    /// not kept.
+    Driven(Drive<'static>),
+    /// Rate coding: fresh impulses are drawn from the analog batch `x`
+    /// every step, from a per-batch stream (independent of execution
+    /// order).
+    Poisson { x: Tensor, rng: SeededRng },
+}
+
+impl Stimulus {
+    fn new(
+        net: &SpikingNetwork,
+        x: Tensor,
+        input_coding: InputCoding,
+        batch_index: u64,
+    ) -> Result<Self> {
+        Ok(match input_coding {
+            InputCoding::Analog => Stimulus::Driven(net.drive(&x)?.into_owned()),
+            InputCoding::Poisson { seed } => Stimulus::Poisson {
+                x,
+                rng: SeededRng::new(seed ^ batch_index.wrapping_mul(0x9E37_79B9)),
+            },
+        })
     }
 }
 
@@ -597,9 +595,11 @@ fn readout_scores(net: &SpikingNetwork, counts: &Tensor, readout: Readout) -> Re
 }
 
 /// Presents one mini-batch for `max_t` timesteps on a fresh (reset) network.
-/// This is the fixed-T reference path: it must stay operation-for-operation
-/// identical to the pre-engine serial evaluator, because the equivalence
-/// suite pins [`ExitPolicy::Off`] results to it bitwise.
+/// This is the fixed-T reference path: it must stay bitwise identical to
+/// the pre-engine serial evaluator (one [`SpikingNetwork::step`] per
+/// timestep), because the equivalence suite pins [`ExitPolicy::Off`]
+/// results to it. Under real coding node 0's current is computed once
+/// ([`SpikingNetwork::drive`]), which has the per-step recompute's bits.
 #[allow(clippy::too_many_arguments)] // engine worker body; args are the batch slice
 fn run_batch_fixed(
     net: &mut SpikingNetwork,
@@ -611,26 +611,21 @@ fn run_batch_fixed(
     batch_index: u64,
     max_t: usize,
 ) -> Result<BatchOutcome> {
-    let x = gather_rows(images, start, end)?;
     // The Poisson stream is seeded from the batch index, not from a shared
     // RNG, so batches can run in any order (or concurrently) and still draw
     // the exact impulses the serial sweep would.
-    let mut input_rng = batch_rng(config.input_coding, batch_index);
+    let x = gather_rows(images, start, end)?;
+    let mut stimulus = Stimulus::new(net, x, config.input_coding, batch_index)?;
     net.reset();
     let mut correct = vec![0usize; config.checkpoints.len()];
     let mut counts: Option<Tensor> = None;
     let mut checkpoint_idx = 0usize;
     let mut final_preds: Vec<usize> = Vec::new();
     for t in 1..=max_t {
-        let drawn;
-        let stimulus = match &mut input_rng {
-            None => &x,
-            Some(rng) => {
-                drawn = poisson_step(&x, rng);
-                &drawn
-            }
+        let spikes = match &mut stimulus {
+            Stimulus::Driven(drive) => net.step_driven(drive)?,
+            Stimulus::Poisson { x, rng } => net.step(&poisson_step(x, rng))?,
         };
-        let spikes = net.step(stimulus)?;
         match &mut counts {
             Some(c) => c.add_assign(&spikes)?,
             None => counts = Some(spikes),
@@ -684,13 +679,12 @@ fn run_batch_adaptive(
 ) -> Result<BatchOutcome> {
     let b = end - start;
     let x = gather_rows(images, start, end)?;
-    let mut input_rng = batch_rng(config.input_coding, batch_index);
+    let mut stimulus = Stimulus::new(net, x, config.input_coding, batch_index)?;
     net.reset();
     let mut correct = vec![0usize; config.checkpoints.len()];
     let mut checkpoint_idx = 0usize;
     // `active[p]` is the original lane of compacted row `p`.
     let mut active: Vec<usize> = (0..b).collect();
-    let mut x_active = x.clone();
     let mut counts: Option<Tensor> = None;
     let mut frozen: Vec<Option<Vec<f32>>> = vec![None; b];
     let mut last_top = vec![0usize; b];
@@ -704,16 +698,12 @@ fn run_batch_adaptive(
         // Poisson impulses are drawn for the FULL batch and then gathered,
         // so each sample consumes the same RNG stream it would without
         // compaction — retirement of a neighbour never shifts its draws.
-        let drawn;
-        let stimulus = match &mut input_rng {
-            None => &x_active,
-            Some(rng) => {
-                let full = poisson_step(&x, rng);
-                drawn = gather_lanes(&full, &active)?;
-                &drawn
+        let spikes = match &mut stimulus {
+            Stimulus::Driven(drive) => net.step_driven(drive)?,
+            Stimulus::Poisson { x, rng } => {
+                net.step(&gather_lanes(&poisson_step(x, rng), &active)?)?
             }
         };
-        let spikes = net.step(stimulus)?;
         match &mut counts {
             Some(c) => c.add_assign(&spikes)?,
             None => counts = Some(spikes),
@@ -773,14 +763,16 @@ fn run_batch_adaptive(
                 .count();
             checkpoint_idx += 1;
         }
-        // Compact retired lanes out of the network, the counts, and the
-        // analog stimulus. Survivors keep their exact membrane rows.
+        // Compact retired lanes out of the network, the counts, and node
+        // 0's drive. Survivors keep their exact membrane rows.
         if retiring {
             let keep: Vec<usize> = (0..active.len()).filter(|&p| !exited[active[p]]).collect();
             net.retain_rows(&keep)?;
             // lint: allow(P1) counts was set earlier this same iteration
             counts = Some(gather_lanes(counts.as_ref().expect("set above"), &keep)?);
-            x_active = gather_lanes(&x_active, &keep)?;
+            if let Stimulus::Driven(drive) = &mut stimulus {
+                *drive = drive.gather(&keep)?;
+            }
             active = keep.iter().map(|&p| active[p]).collect();
             if active.is_empty() {
                 break;

@@ -8,10 +8,11 @@
 //! early-exit machinery as an open timestep loop:
 //!
 //! * [`LaneEngine::submit`] admits one sample into a free **lane** (a row of
-//!   the running batch). Admission appends a zero membrane row to every
-//!   neuron bank ([`SpikingNetwork::grow_rows`]) — bit-for-bit the state of a
-//!   freshly reset network — so a lane admitted at global step 512 simulates
-//!   exactly as if it had been presented alone at step 1.
+//!   the running batch). Admission computes the sample's node-0 current
+//!   once, alone ([`SpikingNetwork::drive`]), and appends a zero membrane
+//!   row to every neuron bank ([`SpikingNetwork::grow_rows`]) — bit-for-bit
+//!   the state of a freshly reset network — so a lane admitted at global
+//!   step 512 simulates exactly as if it had been presented alone at step 1.
 //! * [`LaneEngine::step`] advances every active lane one timestep and returns
 //!   the lanes that **retired** this step: either their readout margin has
 //!   been stable for `patience` steps (early exit, same rule as
@@ -30,9 +31,9 @@
 //! across staggered admission orders.
 
 use crate::engine::{top2, ExitPolicy};
-use crate::network::SpikingNetwork;
+use crate::network::{Drive, SpikingNetwork};
 use crate::sim::Readout;
-use tcl_tensor::{simd, Result, Shape, Tensor, TensorError};
+use tcl_tensor::{Result, Shape, Tensor, TensorError};
 
 /// Identifier of a submitted sample, unique within one [`LaneEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -86,10 +87,12 @@ pub struct LaneEngine {
     policy: ExitPolicy,
     capacity: usize,
     lanes: Vec<Lane>,
-    /// Active stimulus, `[lanes.len(), feature dims...]`; set by the first
-    /// submit, grown by each submit and gathered by each compaction, so a
-    /// step reads it in place.
-    stimulus: Option<Tensor>,
+    /// Sample dims without the batch dimension; fixed by the first submit.
+    sample_dims: Option<Vec<usize>>,
+    /// Node 0's drive for the active lanes, one row per lane: set by the
+    /// first submit, grown by each submit and gathered by each compaction,
+    /// so a step reads it in place.
+    stimulus: Option<Drive<'static>>,
     /// Accumulated output spike counts, `lanes.len() × classes` row-major.
     counts: Vec<f32>,
     /// Output classes; 0 until the first step discovers the output width.
@@ -126,6 +129,7 @@ impl LaneEngine {
             policy,
             capacity,
             lanes: Vec::new(),
+            sample_dims: None,
             stimulus: None,
             counts: Vec::new(),
             classes: 0,
@@ -172,8 +176,9 @@ impl LaneEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error when every lane is occupied, on a zero budget, or on
-    /// a shape mismatch with previously admitted samples.
+    /// Returns an error when every lane is occupied, on a zero budget, on a
+    /// shape mismatch with previously admitted samples, or when node 0
+    /// rejects the sample. A rejected sample leaves the session unchanged.
     pub fn submit(&mut self, sample: &Tensor, budget: usize) -> Result<LaneId> {
         if self.lanes.len() >= self.capacity {
             return Err(TensorError::InvalidArgument {
@@ -189,26 +194,27 @@ impl LaneEngine {
             [1, rest @ ..] if !rest.is_empty() => rest.to_vec(),
             dims => dims.to_vec(),
         };
-        let (rows, mut data) = match self.stimulus.take() {
-            None => (0, Vec::new()),
-            Some(s) if s.dims()[1..] == dims[..] => (s.dims()[0], s.into_vec()),
-            Some(s) => {
-                let expected = s.dims()[1..].to_vec();
-                self.stimulus = Some(s);
-                return Err(TensorError::InvalidArgument {
-                    detail: format!(
-                        "lane engine: sample dims {dims:?} do not match session dims {expected:?}"
-                    ),
-                });
-            }
-        };
-        // Admission: one stimulus row, one zero membrane row per bank, one
+        if let Some(expected) = self.sample_dims.as_ref().filter(|e| **e != dims) {
+            return Err(TensorError::InvalidArgument {
+                detail: format!(
+                    "lane engine: sample dims {dims:?} do not match session dims {expected:?}"
+                ),
+            });
+        }
+        // The lane's drive is computed from its sample alone, so its bits
+        // are those of a solo presentation whatever its batchmates are.
+        let mut one = Vec::with_capacity(dims.len() + 1);
+        one.push(1);
+        one.extend_from_slice(&dims);
+        let one = sample.reshape(Shape::new(one))?;
+        let drive = self.net.drive(&one)?;
+        // Admission: one drive row, one zero membrane row per bank, one
         // zero count row (when the output width is already known).
-        data.extend_from_slice(sample.data());
-        let mut grown = Vec::with_capacity(dims.len() + 1);
-        grown.push(rows + 1);
-        grown.extend_from_slice(&dims);
-        self.stimulus = Some(Tensor::from_vec(Shape::new(grown), data)?);
+        match &mut self.stimulus {
+            Some(stimulus) => stimulus.append(&drive)?,
+            None => self.stimulus = Some(drive.into_owned()),
+        }
+        self.sample_dims = Some(dims);
         self.net.grow_rows(1);
         if self.classes > 0 {
             self.counts.resize(self.counts.len() + self.classes, 0.0);
@@ -242,7 +248,7 @@ impl LaneEngine {
         let Some(stimulus) = &self.stimulus else {
             return Ok(Vec::new());
         };
-        let spikes = self.net.step(stimulus)?;
+        let spikes = self.net.step_driven(stimulus)?;
         let (_, classes) = spikes.shape().as_matrix()?;
         if self.classes == 0 {
             self.classes = classes;
@@ -341,17 +347,12 @@ impl LaneEngine {
         }
     }
 
-    /// Drops retired rows from the network, the stimulus, the counts, and
+    /// Drops retired rows from the network, the drive, the counts, and
     /// the lane table (batch row `p` stays aligned with `lanes[p]`).
     fn compact(&mut self, keep: &[usize]) -> Result<()> {
         self.net.retain_rows(keep)?;
         if let Some(stimulus) = &self.stimulus {
-            let mut dims = stimulus.dims().to_vec();
-            let row: usize = dims[1..].iter().product();
-            let mut data = vec![0.0f32; keep.len() * row];
-            simd::gather_rows(simd::current(), stimulus.data(), row, keep, &mut data);
-            dims[0] = keep.len();
-            self.stimulus = Some(Tensor::from_vec(Shape::new(dims), data)?);
+            self.stimulus = Some(stimulus.gather(keep)?);
         }
         let mut counts = Vec::with_capacity(keep.len() * self.classes);
         for &p in keep {
@@ -563,6 +564,36 @@ mod tests {
         let mut idle = LaneEngine::new(&net, 1, Readout::SpikeCount, ExitPolicy::Off).unwrap();
         assert!(idle.step().unwrap().is_empty());
         assert_eq!(idle.engine_steps(), 0);
+    }
+
+    #[test]
+    fn a_sample_node_0_rejects_leaves_the_session_unchanged() {
+        // Node 0 convolves 2 channels; a 3-channel sample fails in its op,
+        // before any lane, membrane row or session shape is set.
+        let conv = SynapticOp::conv(
+            Tensor::ones([1, 2, 3, 3]),
+            None,
+            tcl_tensor::ops::ConvGeometry::square(3, 1, 1).unwrap(),
+        )
+        .unwrap();
+        let net = SpikingNetwork::new(vec![
+            SpikingNode::Spiking(SpikingLayer::new(
+                conv,
+                IfNeurons::new(1.0, ResetMode::Subtract),
+            )),
+            SpikingNode::Flatten,
+        ]);
+        let mut lanes = LaneEngine::new(&net, 2, Readout::SpikeCount, ExitPolicy::Off).unwrap();
+        assert!(lanes.submit(&Tensor::zeros([3, 4, 4]), 5).is_err());
+        assert_eq!(lanes.active(), 0);
+        assert!(lanes.step().unwrap().is_empty());
+        // A valid sample is still admitted and runs its full budget.
+        lanes.submit(&Tensor::full([2, 4, 4], 0.05), 3).unwrap();
+        let out = drain(&mut lanes);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].steps, 3);
+        assert_eq!(out[0].scores.len(), 16);
+        assert_eq!(lanes.engine_steps(), 3);
     }
 
     #[test]

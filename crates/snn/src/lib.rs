@@ -52,7 +52,7 @@ mod trace;
 
 pub use engine::{Engine, EngineResult, ExitPolicy};
 pub use lanes::{LaneEngine, LaneId, LaneOutput};
-pub use network::SpikingNetwork;
+pub use network::{Drive, SpikingNetwork};
 pub use neuron::{IfNeurons, ResetMode};
 pub use node::{SpikingLayer, SpikingNode, SpikingResidual};
 pub use sim::{evaluate, InputCoding, Readout, SimConfig, SweepResult};

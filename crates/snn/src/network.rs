@@ -2,17 +2,122 @@
 
 use crate::node::SpikingNode;
 use serde::{Deserialize, Serialize};
-use tcl_tensor::{Result, Tensor, TensorError};
+use std::borrow::Cow;
+use tcl_tensor::{simd, Result, Shape, Tensor, TensorError};
 
 /// A feed-forward spiking network produced by ANN-to-SNN conversion.
 ///
-/// The first node receives the **analog** stimulus unchanged every timestep
-/// ("real coding", Section 3.1): the input image acts as a constant input
-/// current rather than being converted to a Poisson spike train, exactly as
-/// in Rueckauer et al. 2017 and the paper.
+/// The first node receives the **analog** stimulus ("real coding",
+/// Section 3.1): the input image acts as a constant input current rather
+/// than being converted to a Poisson spike train, exactly as in Rueckauer
+/// et al. 2017 and the paper. Because the stimulus is constant, so is node
+/// 0's synaptic current: [`SpikingNetwork::drive`] computes it once per
+/// presentation and [`SpikingNetwork::step_driven`] advances the network on
+/// it, while [`SpikingNetwork::step`] still does both on every call.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SpikingNetwork {
     nodes: Vec<SpikingNode>,
+}
+
+/// What node 0 reads on every timestep of a presentation, computed once by
+/// [`SpikingNetwork::drive`]: node 0's synaptic current `Ŵ₀·x + b̂₀` when
+/// node 0 is a [`SpikingNode::Spiking`] layer, otherwise the stimulus
+/// itself (borrowed, not copied).
+///
+/// Convolutions, pools and IF banks compute each batch row on its own, so a
+/// row of the drive carries the bits a per-step recompute of that row
+/// would. The engines keep one drive per batch of lanes: they gather its
+/// rows when lanes retire and append rows when lanes are admitted.
+#[derive(Debug, Clone)]
+pub struct Drive<'a> {
+    /// Node 0's current, or the stimulus, `[rows, ...]`.
+    current: Cow<'a, Tensor>,
+    /// Node 0's synaptic operations per row and timestep; `None` when node
+    /// 0 is not a spiking layer (its own step counts them then). Kept so the
+    /// `snn.synops` counter still counts node 0 on every step.
+    synops: Option<Vec<u64>>,
+}
+
+impl Drive<'_> {
+    /// A drive of the listed rows, in order (the early-exit compaction).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if any index is out of range.
+    pub(crate) fn gather(&self, rows: &[usize]) -> Result<Drive<'static>> {
+        let current = gather_lanes(&self.current, rows)?;
+        Ok(Drive {
+            current: Cow::Owned(current),
+            synops: self
+                .synops
+                .as_ref()
+                .map(|s| rows.iter().map(|&r| s[r]).collect()),
+        })
+    }
+
+    /// Appends `other`'s rows after this drive's (lane admission).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the row shapes differ, or one drive counts node
+    /// 0's synaptic operations and the other does not.
+    pub(crate) fn append(&mut self, other: &Drive<'_>) -> Result<()> {
+        let mut dims = self.current.dims().to_vec();
+        if dims.get(1..) != other.current.dims().get(1..)
+            || self.synops.is_some() != other.synops.is_some()
+        {
+            return Err(TensorError::ShapeMismatch {
+                left: dims,
+                right: other.current.dims().to_vec(),
+            });
+        }
+        dims[0] += other.current.dims()[0];
+        let mut data = std::mem::replace(&mut self.current, Cow::Owned(Tensor::zeros([0])))
+            .into_owned()
+            .into_vec();
+        data.extend_from_slice(other.current.data());
+        self.current = Cow::Owned(Tensor::from_vec(Shape::new(dims), data)?);
+        if let (Some(ours), Some(theirs)) = (&mut self.synops, &other.synops) {
+            ours.extend_from_slice(theirs);
+        }
+        Ok(())
+    }
+
+    /// An owned copy (a no-op when node 0's current was computed).
+    pub(crate) fn into_owned(self) -> Drive<'static> {
+        Drive {
+            current: Cow::Owned(self.current.into_owned()),
+            synops: self.synops,
+        }
+    }
+}
+
+/// Gathers rows `lanes` of `data` along the first dimension.
+///
+/// The copy itself runs through the SIMD `gather_rows` kernel (a straight
+/// bit copy at every dispatch level); bounds are validated here first so
+/// callers get `Err` instead of a panic on a bad lane.
+pub(crate) fn gather_lanes(data: &Tensor, lanes: &[usize]) -> Result<Tensor> {
+    let dims = data.dims();
+    let n = dims.first().copied().unwrap_or(0);
+    if let Some(&bad) = lanes.iter().find(|&&lane| lane >= n) {
+        return Err(TensorError::InvalidArgument {
+            detail: format!("lane {bad} out of bounds for {n} rows"),
+        });
+    }
+    let row = data.len() / n.max(1);
+    let mut out = vec![0.0f32; lanes.len() * row];
+    simd::gather_rows(simd::current(), data.data(), row, lanes, &mut out);
+    let mut out_dims = dims.to_vec();
+    out_dims[0] = lanes.len();
+    Tensor::from_vec(Shape::new(out_dims), out)
+}
+
+/// Names the failing node in a step error.
+fn node_error(i: usize, node: &SpikingNode, e: TensorError) -> TensorError {
+    TensorError::InvalidArgument {
+        detail: format!("node {i} ({}): {e}", node.kind_name()),
+    }
 }
 
 impl SpikingNetwork {
@@ -49,24 +154,74 @@ impl SpikingNetwork {
         }
     }
 
-    /// Advances the whole network one timestep with the analog stimulus
-    /// `input`, returning the output layer's spikes.
+    /// Advances the whole network one timestep with the stimulus `input`,
+    /// returning the output layer's spikes. This is exactly
+    /// `step_driven(&drive(input)?)`: node 0's current is recomputed on
+    /// every call. A caller presenting one stimulus for many steps computes
+    /// the drive once instead.
     ///
     /// # Errors
     ///
     /// Propagates shape errors, annotated with the failing node.
     pub fn step(&mut self, input: &Tensor) -> Result<Tensor> {
-        // The first node reads `input` in place; only node outputs are owned.
+        let drive = self.drive(input)?;
+        self.step_driven(&drive)
+    }
+
+    /// What node 0 reads for the stimulus `input` (see [`Drive`]): node 0's
+    /// synaptic current when node 0 is a spiking layer, else `input`
+    /// itself, borrowed. It depends only on `input` and node 0's weights,
+    /// never on neuron state, so one drive serves every timestep of a
+    /// constant stimulus.
+    ///
+    /// # Errors
+    ///
+    /// Propagates node 0's shape errors, annotated like [`SpikingNetwork::step`]'s.
+    pub fn drive<'a>(&self, input: &'a Tensor) -> Result<Drive<'a>> {
+        match self.nodes.first() {
+            Some(node @ SpikingNode::Spiking(layer)) => {
+                let (current, synops) = layer
+                    .op
+                    .current_with_synops(input)
+                    .map_err(|e| node_error(0, node, e))?;
+                Ok(Drive {
+                    current: Cow::Owned(current),
+                    synops: Some(synops),
+                })
+            }
+            _ => Ok(Drive {
+                current: Cow::Borrowed(input),
+                synops: None,
+            }),
+        }
+    }
+
+    /// Advances the whole network one timestep on a [`Drive`] from
+    /// [`SpikingNetwork::drive`], returning the output layer's spikes. A
+    /// spiking node 0 integrates the drive's current directly; node 0's
+    /// synaptic operations still count towards `snn.synops` on every step.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors, annotated with the failing node.
+    pub fn step_driven(&mut self, drive: &Drive<'_>) -> Result<Tensor> {
+        if tcl_telemetry::metrics_enabled() {
+            if let Some(synops) = &drive.synops {
+                tcl_telemetry::counter_add("snn.synops", synops.iter().sum());
+            }
+        }
+        // Node 0 reads the drive in place; only node outputs are owned.
         let mut x: Option<Tensor> = None;
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            let y = node.step(x.as_ref().unwrap_or(input)).map_err(|e| {
-                TensorError::InvalidArgument {
-                    detail: format!("node {i} ({}): {e}", node.kind_name()),
-                }
-            })?;
+            let input = x.as_ref().unwrap_or(&drive.current);
+            let y = match &mut *node {
+                SpikingNode::Spiking(layer) if i == 0 => layer.neurons.step(input),
+                other => other.step(input),
+            }
+            .map_err(|e| node_error(i, node, e))?;
             x = Some(y);
         }
-        Ok(x.unwrap_or_else(|| input.clone()))
+        Ok(x.unwrap_or_else(|| drive.current.clone().into_owned()))
     }
 
     /// Compacts every neuron bank's batch dimension to the rows listed in
@@ -93,10 +248,7 @@ impl SpikingNetwork {
     /// Returns an error if any index is out of range for a shaped bank.
     pub fn retain_rows(&mut self, keep: &[usize]) -> Result<()> {
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            node.retain_rows(keep)
-                .map_err(|e| TensorError::InvalidArgument {
-                    detail: format!("node {i} ({}): {e}", node.kind_name()),
-                })?;
+            node.retain_rows(keep).map_err(|e| node_error(i, node, e))?;
         }
         Ok(())
     }

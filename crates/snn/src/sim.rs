@@ -23,7 +23,10 @@ pub enum Readout {
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum InputCoding {
     /// "Real coding" (Section 3.1, the paper's choice): the analog image is
-    /// applied as a constant input current at every timestep.
+    /// applied as a constant input current at every timestep. The image
+    /// does not change, so neither does node 0's synaptic current: the
+    /// engines compute it once per sample ([`SpikingNetwork::drive`]) and
+    /// feed it to every step.
     #[default]
     Analog,
     /// Stochastic rate coding in the style of Sengupta et al. 2019: each
@@ -149,9 +152,10 @@ impl SweepResult {
 
 /// Evaluates SNN classification accuracy over a latency sweep.
 ///
-/// For every mini-batch the network is reset, the analog stimulus is
-/// presented for `max(checkpoints)` timesteps, output spikes are
-/// accumulated, and predictions are recorded at each checkpoint.
+/// For every mini-batch the network is reset, the stimulus is presented
+/// for `max(checkpoints)` timesteps (under analog coding as node 0's
+/// current, computed once per batch), output spikes are accumulated, and
+/// predictions are recorded at each checkpoint.
 ///
 /// Mini-batches are independent presentations (the network is reset between
 /// them), so they run in parallel: this is a one-shot wrapper over the

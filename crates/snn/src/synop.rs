@@ -247,10 +247,39 @@ impl SynapticOp {
         if tcl_telemetry::metrics_enabled() {
             tcl_telemetry::counter_add("snn.synops", (scan.nonzero * self.fanout()) as u64);
         }
+        self.current(input, scan)
+    }
+
+    /// The input current for `input`, whose scan is `scan`.
+    fn current(&self, input: &Tensor, scan: SpikeScan) -> Result<Tensor> {
         match self {
             SynapticOp::Conv(synapse) => synapse.current(input, scan),
             SynapticOp::Linear(synapse) => synapse.current(input, scan),
         }
+    }
+
+    /// The current [`SynapticOp::apply`] returns, plus the synaptic
+    /// operations of each batch row (its nonzero entries times the fan-out),
+    /// without adding them to the `snn.synops` counter: the caller counts
+    /// them on every timestep that reads the current.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the underlying kernel.
+    pub(crate) fn current_with_synops(&self, input: &Tensor) -> Result<(Tensor, Vec<u64>)> {
+        let rows = input.dims().first().copied().unwrap_or(1).max(1);
+        let mut scan = SpikeScan {
+            nonzero: 0,
+            binary: true,
+        };
+        let mut synops = Vec::with_capacity(rows);
+        for r in input.data().chunks((input.len() / rows).max(1)) {
+            let s = SpikeScan::of(r);
+            synops.push((s.nonzero * self.fanout()) as u64);
+            scan.nonzero += s.nonzero;
+            scan.binary &= s.binary;
+        }
+        Ok((self.current(input, scan)?, synops))
     }
 
     /// Whether [`SynapticOp::apply`] runs the event path on `input`: one add

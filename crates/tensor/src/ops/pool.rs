@@ -58,6 +58,10 @@ pub fn avg_pool2d(input: &Tensor, kernel: usize, stride: usize) -> Result<Tensor
         |first_plane, run| {
             for (i, dst) in run.chunks_exact_mut(out_plane).enumerate() {
                 let src = &input.data()[(first_plane + i) * in_plane..][..in_plane];
+                if kernel == 2 && stride == 2 {
+                    avg_pool_2x2_plane(src, w, ow, dst, inv);
+                    continue;
+                }
                 for y in 0..oh {
                     for x in 0..ow {
                         let mut acc = 0.0;
@@ -74,6 +78,26 @@ pub fn avg_pool2d(input: &Tensor, kernel: usize, stride: usize) -> Result<Tensor
         },
     );
     Ok(out)
+}
+
+/// One plane of 2×2, stride-2 average pooling: `dst` is the `[oh, ow]`
+/// output, `src` the `[h, w]` input with `w` columns.
+///
+/// Each output adds its window in the generic loop's order, starting from
+/// `0.0` (so a `-0.0` window still gives `+0.0`), and scales by `inv`: the
+/// bits equal the generic loop's, without its per-tap slicing.
+fn avg_pool_2x2_plane(src: &[f32], w: usize, ow: usize, dst: &mut [f32], inv: f32) {
+    for (y, out_row) in dst.chunks_exact_mut(ow).enumerate() {
+        let top = &src[2 * y * w..][..2 * ow];
+        let bottom = &src[(2 * y + 1) * w..][..2 * ow];
+        for ((d, a), b) in out_row
+            .iter_mut()
+            .zip(top.chunks_exact(2))
+            .zip(bottom.chunks_exact(2))
+        {
+            *d = ((((0.0 + a[0]) + a[1]) + b[0]) + b[1]) * inv;
+        }
+    }
 }
 
 /// Backward average pooling: spreads each output gradient uniformly over its
