@@ -119,6 +119,11 @@ for isa in scalar native; do
   done
 done
 
+# Metrics on, as the service runs: the IF banks' membrane-range fold and
+# the registry's update path execute only under TCL_METRICS.
+echo "==> cargo test -p tcl-snn -p tcl-serve --tests (TCL_METRICS=1)"
+TCL_METRICS=1 cargo test -q -p tcl-snn -p tcl-serve --tests
+
 elapsed=$(( $(date +%s) - test_start ))
 budget="${TCL_TEST_BUDGET_S:-1200}"
 if [ "$elapsed" -gt "$budget" ]; then

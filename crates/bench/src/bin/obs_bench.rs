@@ -30,6 +30,7 @@ use tcl_bench::{help_requested, train_or_load, DatasetKind, Scale};
 use tcl_core::{Converter, NormStrategy};
 use tcl_models::Architecture;
 use tcl_snn::{Engine, ExitPolicy, Readout, SimConfig};
+use tcl_tensor::{simd, Parallelism};
 
 const RESULT_MARKER: &str = "OBS_BENCH_RESULT ";
 const EVAL_REPEATS: usize = 3;
@@ -192,6 +193,18 @@ fn spawn_phase(phase: &str, env: &[(&str, String)]) -> tcl_telemetry::json::Json
     tcl_telemetry::json::parse_line(line).expect("phase result parses")
 }
 
+/// The revision the numbers belong to (`-dirty` with uncommitted changes),
+/// or `unknown` outside a git checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn f64_of(v: &tcl_telemetry::json::JsonValue, key: &str) -> f64 {
     v.get(key).and_then(|x| x.as_f64()).unwrap_or(0.0)
 }
@@ -271,6 +284,15 @@ fn main() {
         json,
         "  \"workload\": \"cifar_synth cnn6 ({} scale, {EVAL_REPEATS}x engine evaluate, fixed T=32)\",",
         scale.name(),
+    );
+    // The phases inherit this process's TCL_SIMD and TCL_THREADS, so the
+    // levels resolved here are the ones they ran at.
+    let _ = writeln!(
+        json,
+        "  \"meta\": {{ \"git_rev\": \"{}\", \"simd\": \"{}\", \"threads\": {} }},",
+        git_rev(),
+        simd::current().name(),
+        Parallelism::from_env().threads(),
     );
     let _ = writeln!(json, "  \"baseline\": {{ \"wall_ms\": {off_ms:.1} }},");
     let _ = writeln!(

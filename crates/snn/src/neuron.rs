@@ -130,12 +130,7 @@ impl IfNeurons {
         self.steps += 1;
         if tcl_telemetry::metrics_enabled() {
             tcl_telemetry::counter_add("snn.spikes", emitted);
-            let mut lo = f32::INFINITY;
-            let mut hi = f32::NEG_INFINITY;
-            for &v in potential.data() {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
+            let (lo, hi) = membrane_range(potential.data());
             if lo <= hi {
                 tcl_telemetry::gauge_set("snn.potential_min", f64::from(lo));
                 tcl_telemetry::gauge_set("snn.potential_max", f64::from(hi));
@@ -232,9 +227,119 @@ impl IfNeurons {
     }
 }
 
+/// Lanes of one block of [`membrane_range`]'s running minimum and maximum.
+const RANGE_LANES: usize = 8;
+/// Independent 8-lane blocks folded per iteration, so consecutive vector
+/// min/max instructions do not wait on each other's result.
+const RANGE_BLOCKS: usize = 4;
+
+/// The smallest and largest number in `v`, as `(lo, hi)`: exactly what the
+/// scalar fold `lo = lo.min(x); hi = hi.max(x)` from `(+∞, −∞)` returns.
+/// NaN entries are skipped and ±∞ kept; when no entry is a number (or `v`
+/// is empty) the result is `(+∞, −∞)`, so `lo <= hi` tells whether there
+/// is a range.
+///
+/// The fold keeps [`RANGE_BLOCKS`] running 8-lane `lo`/`hi` arrays, each
+/// updated from its own 8-entry block with `<`/`>` selects that compile to
+/// vector min/max, then folds the lanes and the remainder. Min and max pick
+/// an entry rather than round one, so the order cannot change the values;
+/// only the sign of a zero may differ from the scalar fold, and
+/// `-0.0 == 0.0`.
+fn membrane_range(v: &[f32]) -> (f32, f32) {
+    let mut lo = [[f32::INFINITY; RANGE_LANES]; RANGE_BLOCKS];
+    let mut hi = [[f32::NEG_INFINITY; RANGE_LANES]; RANGE_BLOCKS];
+    let mut chunks = v.chunks_exact(RANGE_LANES * RANGE_BLOCKS);
+    for chunk in &mut chunks {
+        // A NaN `x` compares false both ways and leaves the lane as is.
+        for (lo, block) in lo.iter_mut().zip(chunk.chunks_exact(RANGE_LANES)) {
+            for (l, &x) in lo.iter_mut().zip(block) {
+                *l = if x < *l { x } else { *l };
+            }
+        }
+        for (hi, block) in hi.iter_mut().zip(chunk.chunks_exact(RANGE_LANES)) {
+            for (h, &x) in hi.iter_mut().zip(block) {
+                *h = if x > *h { x } else { *h };
+            }
+        }
+    }
+    let (mut lo_all, mut hi_all) = (f32::INFINITY, f32::NEG_INFINITY);
+    for (&l, &h) in lo.iter().flatten().zip(hi.iter().flatten()) {
+        lo_all = if l < lo_all { l } else { lo_all };
+        hi_all = if h > hi_all { h } else { hi_all };
+    }
+    for &x in chunks.remainder() {
+        lo_all = if x < lo_all { x } else { lo_all };
+        hi_all = if x > hi_all { x } else { hi_all };
+    }
+    (lo_all, hi_all)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The scalar `f32::min`/`f32::max` fold the block fold must reproduce.
+    fn scalar_range(v: &[f32]) -> (f32, f32) {
+        let mut lo = f32::INFINITY;
+        let mut hi = f32::NEG_INFINITY;
+        for &x in v {
+            lo = lo.min(x);
+            hi = hi.max(x);
+        }
+        (lo, hi)
+    }
+
+    /// One entry: an ordinary number, or with probability `special`/100 one
+    /// of NaN, +∞, −∞, +0 and −0.
+    fn entry(kind: u8, x: f32, special: u8) -> f32 {
+        if kind >= special {
+            return x;
+        }
+        match kind % 5 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => 0.0,
+            _ => -0.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn block_range_equals_the_scalar_fold(
+            draws in proptest::collection::vec((0u8..100, -4.0f32..4.0), 0..101),
+            density in 0usize..4,
+        ) {
+            // Sparse specials leave finite extremes for the fold to find;
+            // dense ones give all-NaN and all-±∞ banks.
+            let special = [0, 3, 20, 90][density];
+            let v: Vec<f32> = draws.iter().map(|&(kind, x)| entry(kind, x, special)).collect();
+            let (lo, hi) = membrane_range(&v);
+            let (want_lo, want_hi) = scalar_range(&v);
+            prop_assert!(lo == want_lo, "lo {} vs scalar {} over {:?}", lo, want_lo, v);
+            prop_assert!(hi == want_hi, "hi {} vs scalar {} over {:?}", hi, want_hi, v);
+            prop_assert_eq!(lo <= hi, want_lo <= want_hi);
+        }
+    }
+
+    #[test]
+    fn block_range_edge_cases() {
+        assert_eq!(membrane_range(&[]), (f32::INFINITY, f32::NEG_INFINITY));
+        let nan = [f32::NAN; 19];
+        let (lo, hi) = membrane_range(&nan);
+        assert!(lo > hi, "an all-NaN bank has no range");
+        // The extremes sit in the remainder, in a block lane, or both.
+        let mut v = vec![0.5f32; 45];
+        v[44] = -3.0;
+        v[3] = 7.0;
+        assert_eq!(membrane_range(&v), (-3.0, 7.0));
+        v[27] = f32::NEG_INFINITY;
+        v[40] = f32::NAN;
+        assert_eq!(membrane_range(&v), (f32::NEG_INFINITY, 7.0));
+    }
 
     #[test]
     fn constant_input_fires_at_the_rate_coded_frequency() {

@@ -5,7 +5,8 @@
 //! disabled path is one relaxed atomic load. The registry is a
 //! `Mutex<BTreeMap>` keyed by metric name — updates happen at coarse
 //! granularity (per kernel call, per timestep, per epoch), never per
-//! element, so a mutex is ample.
+//! element, so a mutex is ample. Updates look an existing name up by
+//! `&str`; only the first update of a name allocates its key.
 //!
 //! [`FixedHistogram`] is also exported as a standalone value type so other
 //! crates (e.g. `tcl_snn::trace`) can aggregate distributions with the same
@@ -193,6 +194,26 @@ fn registry() -> MutexGuard<'static, BTreeMap<String, Metric>> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Applies `update` to the metric `name`, first inserting `init()` when the
+/// name is new.
+///
+/// The lookup borrows `name`, so the key is allocated only on the first
+/// insert; later updates of a hot metric cost a mutex and a map lookup.
+/// Kept out of line, so the public updaters' disabled path is the gate
+/// alone and does not pay for this body's stack frame.
+#[inline(never)]
+fn update_metric(name: &str, init: impl FnOnce() -> Metric, update: impl FnOnce(&mut Metric)) {
+    let mut reg = registry();
+    match reg.get_mut(name) {
+        Some(metric) => update(metric),
+        None => {
+            let mut metric = init();
+            update(&mut metric);
+            reg.insert(name.to_string(), metric);
+        }
+    }
+}
+
 /// Adds `delta` to the counter `name` (creating it at zero).
 ///
 /// No-op unless `TCL_METRICS` is set. Mixed-kind reuse of a name keeps the
@@ -201,10 +222,15 @@ pub fn counter_add(name: &str, delta: u64) {
     if !crate::metrics_enabled() {
         return;
     }
-    let mut reg = registry();
-    if let Metric::Counter(v) = reg.entry(name.to_string()).or_insert(Metric::Counter(0)) {
-        *v += delta;
-    }
+    update_metric(
+        name,
+        || Metric::Counter(0),
+        |metric| {
+            if let Metric::Counter(v) = metric {
+                *v += delta;
+            }
+        },
+    );
 }
 
 /// Sets the gauge `name`, tracking last/min/max across the run.
@@ -212,20 +238,25 @@ pub fn gauge_set(name: &str, value: f64) {
     if !crate::metrics_enabled() {
         return;
     }
-    let mut reg = registry();
-    if let Metric::Gauge { last, min, max } = reg.entry(name.to_string()).or_insert(Metric::Gauge {
-        last: value,
-        min: value,
-        max: value,
-    }) {
-        *last = value;
-        if value < *min {
-            *min = value;
-        }
-        if value > *max {
-            *max = value;
-        }
-    }
+    update_metric(
+        name,
+        || Metric::Gauge {
+            last: value,
+            min: value,
+            max: value,
+        },
+        |metric| {
+            if let Metric::Gauge { last, min, max } = metric {
+                *last = value;
+                if value < *min {
+                    *min = value;
+                }
+                if value > *max {
+                    *max = value;
+                }
+            }
+        },
+    );
 }
 
 /// Sets the indexed gauge `name[idx]` — e.g. per-layer λ as
@@ -245,13 +276,15 @@ pub fn hist_record(name: &str, value: f64, upper: f64, bins: usize) {
     if !crate::metrics_enabled() {
         return;
     }
-    let mut reg = registry();
-    if let Metric::Hist(h) = reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Hist(FixedHistogram::new(upper, bins)))
-    {
-        h.record(value);
-    }
+    update_metric(
+        name,
+        || Metric::Hist(FixedHistogram::new(upper, bins)),
+        |metric| {
+            if let Metric::Hist(h) = metric {
+                h.record(value);
+            }
+        },
+    );
 }
 
 /// Current value of the counter `name`, if metrics are enabled and the name
@@ -534,6 +567,48 @@ mod tests {
             assert_eq!(counter_value("t.readback"), None);
         });
         assert_eq!(emitted, 0);
+    }
+
+    #[test]
+    fn mixed_kind_reuse_keeps_the_first_kind() {
+        let (snaps, _lines) = with_captured(|| {
+            reset_metrics();
+            counter_add("t.mixed_c", 2);
+            gauge_set("t.mixed_c", 9.0);
+            hist_record("t.mixed_c", 0.5, 1.0, 4);
+            counter_add("t.mixed_c", 3);
+            gauge_set("t.mixed_g", 1.5);
+            counter_add("t.mixed_g", 4);
+            hist_record("t.mixed_g", 0.5, 1.0, 4);
+            gauge_set("t.mixed_g", -2.0);
+            hist_record("t.mixed_h", 0.25, 1.0, 4);
+            counter_add("t.mixed_h", 1);
+            gauge_set("t.mixed_h", 3.0);
+            hist_record("t.mixed_h", 0.75, 8.0, 2);
+            metrics_snapshot()
+        });
+        let mut want_hist = FixedHistogram::new(1.0, 4);
+        want_hist.record(0.25);
+        want_hist.record(0.75);
+        assert_eq!(
+            snaps,
+            vec![
+                MetricSnapshot::Counter {
+                    name: "t.mixed_c".to_string(),
+                    value: 5,
+                },
+                MetricSnapshot::Gauge {
+                    name: "t.mixed_g".to_string(),
+                    last: -2.0,
+                    min: -2.0,
+                    max: 1.5,
+                },
+                MetricSnapshot::Hist {
+                    name: "t.mixed_h".to_string(),
+                    hist: want_hist,
+                },
+            ]
+        );
     }
 
     #[test]

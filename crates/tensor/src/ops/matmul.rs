@@ -23,7 +23,7 @@
 //!
 //! `Avx2` fuses multiply-adds, and only in the full-tile micro-kernel: the
 //! ragged right columns and the ragged bottom rows (the last `m % MR`) run
-//! the unfused `micro_tile`. So at `Avx2` a row's bits depend on where it
+//! unfused tiles. So at `Avx2` a row's bits depend on where it
 //! sits — row 4 of a 5-row product is ragged and unfused, while the same
 //! row as row 0 of a 4-row product is fused — and differ within an
 //! accumulated-rounding bound. The exception is exact products: with 0/1
@@ -228,8 +228,10 @@ pub fn matmul_into_with(
 /// B rows) instead of `MR` strided row cursors. Packing copies each A
 /// element once per band — `O(rows·k)` against the `O(rows·k·n)` multiply.
 /// Full tiles dispatch to [`tcl_simd::gebp_4x16`] at the caller-resolved
-/// `level`; ragged edges stay on the scalar [`micro_tile`], which never
-/// fuses — the source of `Avx2`'s row-position dependence (module docs).
+/// `level`. The ragged bottom rows (fewer than `MR`) run [`ragged_tile`],
+/// whose height is a compile-time constant, and the ragged right columns
+/// the general [`micro_tile`]; neither fuses — the source of `Avx2`'s
+/// row-position dependence (module docs).
 fn kernel_rows(
     level: Level,
     a: &[f32],
@@ -245,52 +247,96 @@ fn kernel_rows(
     }
     let full_bands = rows - rows % MR;
     let full_tiles = n - n % NR;
-    // A is packed once, `p`-major within each MR-row band
-    // (`a_pack[band][p·MR + r] = a[band·MR + r][p]`); each B tile is packed
-    // contiguous per `j0`. Both copies are `O(size)` against the `O(m·k·n)`
-    // multiply, and they let the hot loop stream two dense cursors with the
-    // B tile L1-resident across every band.
-    let mut a_pack = vec![0.0f32; full_bands * k];
-    for (band, band_pack) in a_pack.chunks_exact_mut(MR * k).enumerate() {
-        for r in 0..MR {
-            let row = &a[(band * MR + r) * k..(band * MR + r + 1) * k];
-            for (p, &v) in row.iter().enumerate() {
-                band_pack[p * MR + r] = v;
+    let edge = n - full_tiles;
+    if full_bands > 0 {
+        // A is packed once, `p`-major within each MR-row band
+        // (`a_pack[band][p·MR + r] = a[band·MR + r][p]`); each B tile is
+        // packed contiguous per `j0`. Both copies are `O(size)` against the
+        // `O(m·k·n)` multiply, and they let the hot loop stream two dense
+        // cursors with the B tile L1-resident across every band. Without a
+        // full band nothing reads them, so they are skipped.
+        let mut a_pack = vec![0.0f32; full_bands * k];
+        for (band, band_pack) in a_pack.chunks_exact_mut(MR * k).enumerate() {
+            for r in 0..MR {
+                let row = &a[(band * MR + r) * k..(band * MR + r + 1) * k];
+                for (p, &v) in row.iter().enumerate() {
+                    band_pack[p * MR + r] = v;
+                }
+            }
+        }
+        let mut b_pack = vec![0.0f32; k * NR];
+        for j0 in (0..full_tiles).step_by(NR) {
+            for (bp, brow) in b_pack.chunks_exact_mut(NR).zip(b[j0..].chunks(n)) {
+                bp.copy_from_slice(&brow[..NR]);
+            }
+            for (band, band_pack) in a_pack.chunks_exact(MR * k).enumerate() {
+                tcl_simd::gebp_4x16(level, band_pack, &b_pack, k, out, band * MR, j0, n);
+            }
+        }
+        if edge > 0 {
+            // Ragged right edge: general tile over the original layouts.
+            for i0 in (0..full_bands).step_by(MR) {
+                micro_tile(a, b, out, i0, full_tiles, MR, edge, k, n);
             }
         }
     }
-    let mut b_pack = vec![0.0f32; k * NR];
-    let mut j0 = 0;
-    while j0 < full_tiles {
-        for (bp, brow) in b_pack.chunks_exact_mut(NR).zip(b[j0..].chunks(n)) {
-            bp.copy_from_slice(&brow[..NR]);
+    // Ragged bottom rows (fewer than MR): full-width tiles at a fixed
+    // height, then the ragged corner.
+    let tail = rows - full_bands;
+    if tail > 0 {
+        for j0 in (0..full_tiles).step_by(NR) {
+            match tail {
+                1 => ragged_tile::<1>(a, b, out, full_bands, j0, k, n),
+                2 => ragged_tile::<2>(a, b, out, full_bands, j0, k, n),
+                _ => ragged_tile::<3>(a, b, out, full_bands, j0, k, n),
+            }
         }
-        for (band, band_pack) in a_pack.chunks_exact(MR * k).enumerate() {
-            tcl_simd::gebp_4x16(level, band_pack, &b_pack, k, out, band * MR, j0, n);
-        }
-        j0 += NR;
-    }
-    if j0 < n {
-        // Ragged right edge: general tile over the original layouts.
-        let mut i0 = 0;
-        while i0 < full_bands {
-            micro_tile(a, b, out, i0, j0, MR, n - j0, k, n);
-            i0 += MR;
-        }
-    }
-    // Ragged bottom rows (fewer than MR) take the general tile.
-    if full_bands < rows {
-        let mut j0 = 0;
-        while j0 < n {
-            let width = (n - j0).min(NR);
-            micro_tile(a, b, out, full_bands, j0, rows - full_bands, width, k, n);
-            j0 += NR;
+        if edge > 0 {
+            micro_tile(a, b, out, full_bands, full_tiles, tail, edge, k, n);
         }
     }
 }
 
-/// One `height`×`width` output tile (`height ≤ MR`, `width ≤ NR`): registers
-/// accumulate over the full `k` range, then a single `+=` store per element.
+/// One `H`×`NR` output tile (`H < MR`, rows `i0..i0 + H`, columns
+/// `j0..j0 + NR`). With the height a constant the accumulators stay in
+/// registers across the whole `k` range; each element accumulates
+/// `acc += a·b` unfused in ascending `k` from zero, then one `+=` store —
+/// the order of [`micro_tile`] and [`matmul_into_naive`] on a zeroed output.
+#[inline]
+fn ragged_tile<const H: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    j0: usize,
+    k: usize,
+    n: usize,
+) {
+    let a_rows: [&[f32]; H] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+    let mut acc = [[0.0f32; NR]; H];
+    for p in 0..k {
+        let b_row: &[f32; NR] = b[p * n + j0..p * n + j0 + NR]
+            .try_into()
+            // lint: allow(P1) the slice is exactly NR long by the range
+            .expect("tile is NR wide");
+        for (acc_r, a_row) in acc.iter_mut().zip(&a_rows) {
+            let av = a_row[p];
+            for (acc_v, &bv) in acc_r.iter_mut().zip(b_row) {
+                *acc_v += av * bv;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        let o_row = &mut out[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR];
+        for (o, &acc_v) in o_row.iter_mut().zip(acc_r) {
+            *o += acc_v;
+        }
+    }
+}
+
+/// One `height`×`width` output tile (`height ≤ MR`, `width < NR`): the
+/// ragged right edge. Accumulates over the full `k` range, then a single
+/// `+=` store per element.
 #[inline]
 #[allow(clippy::too_many_arguments)] // edge-tile kernel: all args are tight-loop geometry
 fn micro_tile(
@@ -311,28 +357,12 @@ fn micro_tile(
     };
     let a_rows: [&[f32]; MR] = std::array::from_fn(a_row);
     let mut acc = [[0.0f32; NR]; MR];
-    if width == NR {
-        // Full-width fast path: fixed-size b row lets the c-loop vectorize.
-        for p in 0..k {
-            let b_row: &[f32; NR] = b[p * n + j0..p * n + j0 + NR]
-                .try_into()
-                // lint: allow(P1) the slice is exactly NR long by the range
-                .expect("width checked");
-            for r in 0..height {
-                let av = a_rows[r][p];
-                for (acc_v, &bv) in acc[r].iter_mut().zip(b_row) {
-                    *acc_v += av * bv;
-                }
-            }
-        }
-    } else {
-        for p in 0..k {
-            let b_row = &b[p * n + j0..p * n + j0 + width];
-            for r in 0..height {
-                let av = a_rows[r][p];
-                for (acc_v, &bv) in acc[r][..width].iter_mut().zip(b_row) {
-                    *acc_v += av * bv;
-                }
+    for p in 0..k {
+        let b_row = &b[p * n + j0..p * n + j0 + width];
+        for r in 0..height {
+            let av = a_rows[r][p];
+            for (acc_v, &bv) in acc[r][..width].iter_mut().zip(b_row) {
+                *acc_v += av * bv;
             }
         }
     }

@@ -165,8 +165,11 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Values with full mantissas and varied exponents, so that summing the
+/// same terms in another order rounds differently. (`uniform` draws from a
+/// 2⁻²³ grid, on which short sums can be exact in any order.)
 fn random_vec(rng: &mut SeededRng, len: usize) -> Vec<f32> {
-    (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect()
+    (0..len).map(|_| rng.normal() / 3.0).collect()
 }
 
 /// A geometry drawn from the property's raw parameters, or `None` if the

@@ -14,7 +14,7 @@
 //! properties are what justify shipping the wider levels by default.
 
 use proptest::prelude::*;
-use tcl_tensor::ops::{conv2d, matmul_into_with, ConvGeometry};
+use tcl_tensor::ops::{conv2d, matmul_into, matmul_into_naive, matmul_into_with, ConvGeometry};
 use tcl_tensor::{simd, Parallelism, SeededRng, Tensor};
 
 fn random_vec(rng: &mut SeededRng, len: usize) -> Vec<f32> {
@@ -27,6 +27,36 @@ fn random_vec(rng: &mut SeededRng, len: usize) -> Vec<f32> {
 /// step, all scaled by the partial-sum magnitude (≤ `k`).
 fn fma_bound(k: usize) -> f32 {
     k as f32 * 1e-5
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The ragged bottom rows (the last `m % 4`, which never enter the fused
+    /// 4-row tile) equal the naive saxpy bitwise at every level, `Avx2`
+    /// included, across full-width tiles and the ragged right edge. Values
+    /// carry full mantissas, so a different summation order would show.
+    #[test]
+    fn ragged_rows_match_naive_bitwise_at_every_level(
+        m in 1usize..8,
+        k in 1usize..301,
+        n in 1usize..71,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let a: Vec<f32> = (0..m * k).map(|_| rng.normal() / 3.0).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| rng.normal() / 3.0).collect();
+        let mut naive = vec![0.0f32; m * n];
+        matmul_into_naive(&a, &b, &mut naive, m, k, n);
+        let first = m / 4 * 4;
+        for level in simd::Level::available() {
+            let mut out = vec![0.0f32; m * n];
+            simd::with_level(level, || matmul_into(&a, &b, &mut out, m, k, n));
+            let got: Vec<u32> = out[first * n..].iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u32> = naive[first * n..].iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(got, want, "{} m={} k={} n={}", level.name(), m, k, n);
+        }
+    }
 }
 
 proptest! {
