@@ -118,6 +118,10 @@ for isa in scalar native; do
     TCL_SIMD=$isa TCL_THREADS=$t cargo test -q -p tcl-tensor -p tcl-snn --tests
   done
 done
+# `wide` runs the portable 8-lane body of every kernel end to end; on an
+# AVX2 host `native` never reaches it outside the per-level proptests.
+echo "==> cargo test -p tcl-simd -p tcl-tensor -p tcl-snn --tests (TCL_SIMD=wide TCL_THREADS=1)"
+TCL_SIMD=wide TCL_THREADS=1 cargo test -q -p tcl-simd -p tcl-tensor -p tcl-snn --tests
 
 # Metrics on, as the service runs: the IF banks' membrane-range fold and
 # the registry's update path execute only under TCL_METRICS.

@@ -176,26 +176,45 @@ fn bench_conv2d(c: &mut Criterion) {
     });
 }
 
-/// CNN-6's first IF-fed convolution (8 channels of 16×16 spikes into 8
-/// outputs, padded 3×3, batch 5) on binary rasters at 15% (the IF banks'
-/// firing rate) and 50% density: the accumulate-only event path against
-/// the im2col + GEMM path it replaces, so the crossover is on record.
+/// CNN-6's IF-fed convolutions at batch 5, padded 3×3, on binary rasters:
+/// node 1 (8 channels of 16×16 spikes into 8 outputs) at 15% (the IF
+/// banks' firing rate) and 50% density, and node 4 (16 channels of 8×8
+/// into 16 outputs) at 15%. The accumulate-only event path runs against
+/// the im2col + GEMM path it replaces, so the crossover is on record. Each
+/// iteration takes the next of 8 rasters: on one fixed raster the branch
+/// predictor learns the spike pattern and flatters the event path.
 fn bench_conv_spikes(c: &mut Criterion) {
     let mut rng = SeededRng::new(11);
     let geom = ConvGeometry::square(3, 1, 1).unwrap();
-    let w = rng.uniform_tensor([8, 8, 3, 3], -0.5, 0.5);
-    let bias = rng.uniform_tensor([8], -0.1, 0.1);
-    let taps = ops::ConvTaps::new(&w).unwrap();
-    for (label, density) in [("p15", 0.15), ("p50", 0.5)] {
-        let x: Vec<f32> = (0..5 * 8 * 16 * 16)
-            .map(|_| f32::from(u8::from(rng.uniform(0.0, 1.0) < density)))
+    for (shape, in_c, hw, out_c, label, density) in [
+        ("8x16x16_o8", 8, 16, 8, "p15", 0.15),
+        ("8x16x16_o8", 8, 16, 8, "p50", 0.5),
+        ("16x8x8_o16", 16, 8, 16, "p15", 0.15),
+    ] {
+        let w = rng.uniform_tensor([out_c, in_c, 3, 3], -0.5, 0.5);
+        let bias = rng.uniform_tensor([out_c], -0.1, 0.1);
+        let taps = ops::ConvTaps::new(&w).unwrap();
+        let dims = [5, in_c, hw, hw];
+        let rasters: Vec<Tensor> = (0..8)
+            .map(|_| {
+                let x = (0..dims.iter().product())
+                    .map(|_| f32::from(u8::from(rng.uniform(0.0, 1.0) < density)))
+                    .collect();
+                Tensor::from_vec(dims, x).unwrap()
+            })
             .collect();
-        let x = Tensor::from_vec([5, 8, 16, 16], x).unwrap();
-        c.bench_function(&format!("conv_spikes_8x16x16_o8_batch5_{label}"), |bench| {
-            bench.iter(|| ops::conv2d_spikes(black_box(&x), &taps, Some(&bias), geom).unwrap())
+        let mut next = 0;
+        c.bench_function(&format!("conv_spikes_{shape}_batch5_{label}"), |bench| {
+            bench.iter(|| {
+                next = (next + 1) % rasters.len();
+                ops::conv2d_spikes(black_box(&rasters[next]), &taps, Some(&bias), geom).unwrap()
+            })
         });
-        c.bench_function(&format!("conv_gemm_8x16x16_o8_batch5_{label}"), |bench| {
-            bench.iter(|| ops::conv2d(black_box(&x), &w, Some(&bias), geom).unwrap())
+        c.bench_function(&format!("conv_gemm_{shape}_batch5_{label}"), |bench| {
+            bench.iter(|| {
+                next = (next + 1) % rasters.len();
+                ops::conv2d(black_box(&rasters[next]), &w, Some(&bias), geom).unwrap()
+            })
         });
     }
 }

@@ -14,6 +14,13 @@
 //! JSON result line, and the parent folds them into `BENCH_obs.json` at
 //! the repo root.
 //!
+//! One phase times ~0.2 s of work, and single runs of it swing by ±10%,
+//! wider than the overheads measured. So the four phases run in
+//! `ROUNDS` interleaved rounds, every other one in reverse order; each
+//! overhead is taken within its round (so a slow stretch of the host hits
+//! both sides), and the file reports per phase the median over rounds
+//! with its interquartile range.
+//!
 //! The headline claim this bench guards: with no observability env vars
 //! set, the stack is off-path — disabled span/counter calls cost
 //! nanoseconds and the exporter does not exist. The exporter itself is
@@ -35,6 +42,8 @@ use tcl_tensor::{simd, Parallelism};
 const RESULT_MARKER: &str = "OBS_BENCH_RESULT ";
 const EVAL_REPEATS: usize = 3;
 const SCRAPES: usize = 50;
+/// Interleaved rounds of the four phases.
+const ROUNDS: usize = 9;
 
 /// The engine workload every phase runs: convert the cached CNN-6 and
 /// evaluate it `EVAL_REPEATS` times on the shared engine. Returns the
@@ -209,6 +218,36 @@ fn f64_of(v: &tcl_telemetry::json::JsonValue, key: &str) -> f64 {
     v.get(key).and_then(|x| x.as_f64()).unwrap_or(0.0)
 }
 
+/// The median and interquartile range of one figure over the rounds
+/// (nearest-rank percentiles).
+struct Spread {
+    median: f64,
+    q1: f64,
+    q3: f64,
+}
+
+impl Spread {
+    fn of(mut values: Vec<f64>) -> Self {
+        values.sort_by(f64::total_cmp);
+        Spread {
+            median: percentile(&values, 0.50),
+            q1: percentile(&values, 0.25),
+            q3: percentile(&values, 0.75),
+        }
+    }
+
+    /// `[q1, q3]` as a JSON array with `digits` decimals.
+    fn iqr_json(&self, digits: usize) -> String {
+        format!("[{:.digits$}, {:.digits$}]", self.q1, self.q3)
+    }
+}
+
+impl std::fmt::Display for Spread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.2} [{:.2}, {:.2}]", self.median, self.q1, self.q3)
+    }
+}
+
 fn main() {
     if help_requested(
         "obs_bench",
@@ -228,27 +267,37 @@ fn main() {
 
     println!("== observability overhead (scale: {}) ==\n", scale.name());
     let trace_path = std::env::temp_dir().join("tcl_obs_bench_trace.jsonl");
-    let _ = std::fs::remove_file(&trace_path);
-    println!("phase 1/4: telemetry off (baseline + disabled-path micro)");
-    let off = spawn_phase("off", &[]);
-    println!("phase 2/4: TCL_TRACE + TCL_METRICS on");
-    let trace = spawn_phase(
-        "trace",
-        &[
-            ("TCL_TRACE", trace_path.display().to_string()),
-            ("TCL_METRICS", "1".to_string()),
-        ],
-    );
-    println!("phase 3/4: TCL_METRICS only (exporter control)");
-    let metrics = spawn_phase("metrics", &[("TCL_METRICS", "1".to_string())]);
-    println!("phase 4/4: metrics + live exporter, {SCRAPES} scrapes");
-    let exporter = spawn_phase("exporter", &[("TCL_METRICS", "1".to_string())]);
+    let metrics_env = [("TCL_METRICS", "1".to_string())];
+    let trace_env = [
+        ("TCL_TRACE", trace_path.display().to_string()),
+        ("TCL_METRICS", "1".to_string()),
+    ];
+    let phases: [(&str, &[(&str, String)]); 4] = [
+        ("off", &[]),
+        ("trace", &trace_env),
+        ("metrics", &metrics_env),
+        ("exporter", &metrics_env),
+    ];
+    let mut rounds: Vec<[tcl_telemetry::json::JsonValue; 4]> = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        // Every other round runs the phases in reverse, so a host that
+        // speeds up or slows down across a round favours no phase.
+        let order: Vec<usize> = if round % 2 == 0 {
+            (0..4).collect()
+        } else {
+            (0..4).rev().collect()
+        };
+        let names: Vec<&str> = order.iter().map(|&p| phases[p].0).collect();
+        println!("round {}/{ROUNDS}: {}", round + 1, names.join(", "));
+        let mut results = std::array::from_fn(|_| tcl_telemetry::json::JsonValue::Null);
+        for p in order {
+            let _ = std::fs::remove_file(&trace_path);
+            results[p] = spawn_phase(phases[p].0, phases[p].1);
+        }
+        rounds.push(results);
+    }
     let _ = std::fs::remove_file(&trace_path);
 
-    let off_ms = f64_of(&off, "wall_ms");
-    let trace_ms = f64_of(&trace, "wall_ms");
-    let metrics_ms = f64_of(&metrics, "wall_ms");
-    let exporter_ms = f64_of(&exporter, "wall_ms");
     let pct = |ms: f64, base: f64| {
         if base > 0.0 {
             100.0 * (ms - base) / base
@@ -256,26 +305,51 @@ fn main() {
             0.0
         }
     };
-    let trace_pct = pct(trace_ms, off_ms);
-    let metrics_pct = pct(metrics_ms, off_ms);
+    // A field of one phase over the rounds, and an overhead within each
+    // round: phase `p` against phase `base`.
+    let field =
+        |p: usize, key: &str| -> Vec<f64> { rounds.iter().map(|r| f64_of(&r[p], key)).collect() };
+    let overhead = |p: usize, base: usize| -> Vec<f64> {
+        rounds
+            .iter()
+            .map(|r| pct(f64_of(&r[p], "wall_ms"), f64_of(&r[base], "wall_ms")))
+            .collect()
+    };
+    let (off, trace, metrics, exporter) = (0, 1, 2, 3);
+    let wall = [
+        Spread::of(field(off, "wall_ms")),
+        Spread::of(field(trace, "wall_ms")),
+        Spread::of(field(metrics, "wall_ms")),
+        Spread::of(field(exporter, "wall_ms")),
+    ];
+    let trace_pct = Spread::of(overhead(trace, off));
+    let metrics_pct = Spread::of(overhead(metrics, off));
     // The exporter phase differs from the metrics phase only by the
     // attached server, so this delta is the exporter's own cost.
-    let exporter_pct = pct(exporter_ms, metrics_ms);
+    let exporter_pct = Spread::of(overhead(exporter, metrics));
+    let span_ns = Spread::of(field(off, "disabled_span_ns")).median;
+    let counter_ns = Spread::of(field(off, "disabled_counter_ns")).median;
+    let scrape_p50 = Spread::of(field(exporter, "scrape_p50_us")).median;
+    let scrape_p99 = Spread::of(field(exporter, "scrape_p99_us")).median;
+    let trace_bytes = Spread::of(field(trace, "trace_bytes")).median;
 
-    println!("\nbaseline      {off_ms:9.1} ms  (engine workload, telemetry off)");
-    println!("tracing on    {trace_ms:9.1} ms  ({trace_pct:+.2}% vs off)");
-    println!("metrics on    {metrics_ms:9.1} ms  ({metrics_pct:+.2}% vs off)");
-    println!("exporter      {exporter_ms:9.1} ms  ({exporter_pct:+.2}% vs metrics-only)");
+    println!("\nmedians over {ROUNDS} rounds (interquartile range in brackets)");
     println!(
-        "disabled span {:.2} ns/op, disabled counter {:.2} ns/op",
-        f64_of(&off, "disabled_span_ns"),
-        f64_of(&off, "disabled_counter_ns"),
+        "baseline      {} ms  (engine workload, telemetry off)",
+        wall[off]
+    );
+    println!("tracing on    {} ms  ({}% vs off)", wall[trace], trace_pct);
+    println!(
+        "metrics on    {} ms  ({}% vs off)",
+        wall[metrics], metrics_pct
     );
     println!(
-        "scrape latency p50 {:.1} us, p99 {:.1} us over {} scrapes",
-        f64_of(&exporter, "scrape_p50_us"),
-        f64_of(&exporter, "scrape_p99_us"),
-        SCRAPES,
+        "exporter      {} ms  ({}% vs metrics-only)",
+        wall[exporter], exporter_pct
+    );
+    println!("disabled span {span_ns:.2} ns/op, disabled counter {counter_ns:.2} ns/op");
+    println!(
+        "scrape latency p50 {scrape_p50:.1} us, p99 {scrape_p99:.1} us over {SCRAPES} scrapes"
     );
 
     let mut json = String::new();
@@ -294,34 +368,52 @@ fn main() {
         simd::current().name(),
         Parallelism::from_env().threads(),
     );
-    let _ = writeln!(json, "  \"baseline\": {{ \"wall_ms\": {off_ms:.1} }},");
     let _ = writeln!(
         json,
-        "  \"tracing\": {{ \"wall_ms\": {trace_ms:.1}, \"overhead_pct\": {trace_pct:.2}, \"trace_bytes\": {} }},",
-        f64_of(&trace, "trace_bytes") as u64,
+        "  \"rounds\": {ROUNDS},\n  \"statistic\": \"median over rounds; *_iqr = [25th, 75th] percentile; overheads taken within each round\","
     );
     let _ = writeln!(
         json,
-        "  \"metrics\": {{ \"wall_ms\": {metrics_ms:.1}, \"overhead_pct\": {metrics_pct:.2} }},",
+        "  \"baseline\": {{ \"wall_ms\": {:.1}, \"wall_ms_iqr\": {} }},",
+        wall[off].median,
+        wall[off].iqr_json(1),
     );
     let _ = writeln!(
         json,
-        "  \"exporter\": {{ \"wall_ms\": {exporter_ms:.1}, \"overhead_pct_vs_metrics\": {exporter_pct:.2}, \
-         \"scrapes\": {SCRAPES}, \"scrape_p50_us\": {:.1}, \"scrape_p99_us\": {:.1} }},",
-        f64_of(&exporter, "scrape_p50_us"),
-        f64_of(&exporter, "scrape_p99_us"),
+        "  \"tracing\": {{ \"wall_ms\": {:.1}, \"overhead_pct\": {:.2}, \"trace_bytes\": {}, \"wall_ms_iqr\": {}, \"overhead_pct_iqr\": {} }},",
+        wall[trace].median,
+        trace_pct.median,
+        trace_bytes as u64,
+        wall[trace].iqr_json(1),
+        trace_pct.iqr_json(2),
     );
     let _ = writeln!(
         json,
-        "  \"disabled_path\": {{ \"span_ns\": {:.2}, \"counter_ns\": {:.2} }},",
-        f64_of(&off, "disabled_span_ns"),
-        f64_of(&off, "disabled_counter_ns"),
+        "  \"metrics\": {{ \"wall_ms\": {:.1}, \"overhead_pct\": {:.2}, \"wall_ms_iqr\": {}, \"overhead_pct_iqr\": {} }},",
+        wall[metrics].median,
+        metrics_pct.median,
+        wall[metrics].iqr_json(1),
+        metrics_pct.iqr_json(2),
+    );
+    let _ = writeln!(
+        json,
+        "  \"exporter\": {{ \"wall_ms\": {:.1}, \"overhead_pct_vs_metrics\": {:.2}, \
+         \"scrapes\": {SCRAPES}, \"scrape_p50_us\": {scrape_p50:.1}, \"scrape_p99_us\": {scrape_p99:.1}, \
+         \"wall_ms_iqr\": {}, \"overhead_pct_iqr\": {} }},",
+        wall[exporter].median,
+        exporter_pct.median,
+        wall[exporter].iqr_json(1),
+        exporter_pct.iqr_json(2),
+    );
+    let _ = writeln!(
+        json,
+        "  \"disabled_path\": {{ \"span_ns\": {span_ns:.2}, \"counter_ns\": {counter_ns:.2} }},",
     );
     let _ = writeln!(
         json,
         "  \"off_path_claim\": \"exporter overhead {} 1% of metrics-only wall time\"",
         // Signed: a negative delta is run noise and still means "no cost".
-        if exporter_pct < 1.0 { "<" } else { ">=" },
+        if exporter_pct.median < 1.0 { "<" } else { ">=" },
     );
     let _ = writeln!(json, "}}");
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");

@@ -1,4 +1,4 @@
-//! The four TCL hot-path kernels, one implementation per dispatch level.
+//! The TCL hot-path kernels, one implementation per dispatch level.
 //!
 //! Each public entry point validates slice geometry with real assertions,
 //! then dispatches on [`Level`]: the scalar path is plain safe Rust
@@ -16,6 +16,9 @@
 //!   multiply-adds and differs by at most the accumulated-rounding drift.
 //! * [`if_step`] and [`gather_rows`] are elementwise (no reassociation,
 //!   no fusion) and produce bitwise identical results at **every** level.
+//! * [`nonzero_mask`], [`add_assign`] and [`transpose_8x8`] — the event
+//!   convolution's kernels — compare, add once per lane, or move bits, so
+//!   they too are bitwise identical at every level.
 
 use crate::dispatch::Level;
 use crate::vec::{SimdF32, LANES, W8};
@@ -281,6 +284,9 @@ fn axpy_avx2_entry(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// lets the golden SNN trajectories survive dispatch. NaN potentials never
 /// spike (ordered compare), matching scalar `>=`.
 ///
+/// Returns the number of spikes written, counted from the compare masks as
+/// the lanes are stepped, so callers need no second pass over `spikes`.
+///
 /// # Panics
 ///
 /// Asserts `level` is available and all three slices have equal length.
@@ -292,7 +298,7 @@ pub fn if_step(
     spikes: &mut [f32],
     threshold: f32,
     subtract: bool,
-) {
+) -> usize {
     assert!(
         level.is_available(),
         "SIMD level {} unavailable",
@@ -314,16 +320,19 @@ fn if_step_scalar(
     spikes: &mut [f32],
     thr: f32,
     subtract: bool,
-) {
+) -> usize {
+    let mut fired = 0;
     for ((v, s), &z) in potential.iter_mut().zip(spikes.iter_mut()).zip(input) {
         *v += z;
         if *v >= thr {
             *s = 1.0;
             *v = if subtract { *v - thr } else { 0.0 };
+            fired += 1;
         } else {
             *s = 0.0;
         }
     }
+    fired
 }
 
 /// # Safety
@@ -337,9 +346,10 @@ unsafe fn if_step_v<V: SimdF32>(
     spikes: &mut [f32],
     thr: f32,
     subtract: bool,
-) {
+) -> usize {
     let n = potential.len();
     let main = n - n % LANES;
+    let mut fired = 0;
     // SAFETY: indices stay below `main ≤ n`, the common slice length.
     unsafe {
         let thrv = V::splat(thr);
@@ -352,19 +362,21 @@ unsafe fn if_step_v<V: SimdF32>(
         while i < main {
             let vv = V::load(vp.add(i)).add(V::load(zp.add(i)));
             let mask = vv.ge(thrv);
+            fired += mask.movemask().count_ones() as usize;
             V::select(mask, one, zero).store(sp.add(i));
             let reset = if subtract { vv.sub(thrv) } else { zero };
             V::select(mask, reset, vv).store(vp.add(i));
             i += LANES;
         }
     }
-    if_step_scalar(
-        &mut potential[main..],
-        &input[main..],
-        &mut spikes[main..],
-        thr,
-        subtract,
-    );
+    fired
+        + if_step_scalar(
+            &mut potential[main..],
+            &input[main..],
+            &mut spikes[main..],
+            thr,
+            subtract,
+        )
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -375,7 +387,7 @@ unsafe fn if_step_avx2(
     spikes: &mut [f32],
     thr: f32,
     subtract: bool,
-) {
+) -> usize {
     // SAFETY: forwarded caller contract; AVX2 enabled on this fn.
     unsafe { if_step_v::<crate::avx2::A8>(potential, input, spikes, thr, subtract) }
 }
@@ -386,16 +398,16 @@ fn if_step_avx2_entry(
     spikes: &mut [f32],
     thr: f32,
     subtract: bool,
-) {
+) -> usize {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: availability asserted by the caller; lengths validated.
     unsafe {
-        if_step_avx2(potential, input, spikes, thr, subtract);
+        if_step_avx2(potential, input, spikes, thr, subtract)
     }
     #[cfg(not(target_arch = "x86_64"))]
     // SAFETY: W8 is portable; lengths validated by the caller.
     unsafe {
-        if_step_v::<W8>(potential, input, spikes, thr, subtract);
+        if_step_v::<W8>(potential, input, spikes, thr, subtract)
     }
 }
 
@@ -485,6 +497,261 @@ fn gather_rows_avx2_entry(src: &[f32], row_len: usize, lanes: &[usize], dst: &mu
     // SAFETY: W8 is portable; geometry validated by the caller.
     unsafe {
         gather_rows_v::<W8>(src, row_len, lanes, dst);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Nonzero mask — the event convolution's spike scan
+// ---------------------------------------------------------------------------
+
+/// Bits of one mask word: the most entries [`nonzero_mask`] takes.
+pub const MASK_BITS: usize = 64;
+
+/// The nonzero entries of `src` (at most [`MASK_BITS`] long) as a bit
+/// mask: bit `i` is set exactly when `src[i] != 0.0`. Either zero clears
+/// its bit; NaN sets it, as scalar `!=` does. Bits past `src.len()` are
+/// clear. The same mask at every level.
+///
+/// # Panics
+///
+/// Asserts `level` is available and `src.len() ≤ 64`.
+#[inline]
+pub fn nonzero_mask(level: Level, src: &[f32]) -> u64 {
+    assert!(
+        level.is_available(),
+        "SIMD level {} unavailable",
+        level.name()
+    );
+    assert!(
+        src.len() <= MASK_BITS,
+        "nonzero_mask takes at most {MASK_BITS} entries, got {}",
+        src.len()
+    );
+    match level {
+        Level::Scalar => nonzero_mask_scalar(src),
+        // SAFETY: length validated above; W8 is portable safe Rust.
+        Level::Wide => unsafe { nonzero_mask_v::<W8>(src) },
+        Level::Avx2 => nonzero_mask_avx2_entry(src),
+    }
+}
+
+fn nonzero_mask_scalar(src: &[f32]) -> u64 {
+    src.iter()
+        .enumerate()
+        .fold(0, |m, (i, &v)| m | u64::from(v != 0.0) << i)
+}
+
+/// # Safety
+///
+/// Caller must guarantee the ISA behind `V` is supported and
+/// `src.len() ≤ 64`.
+#[inline(always)]
+unsafe fn nonzero_mask_v<V: SimdF32>(src: &[f32]) -> u64 {
+    let main = src.len() - src.len() % LANES;
+    let mut mask = 0u64;
+    // SAFETY: indices stay below `main ≤ src.len()`.
+    unsafe {
+        let zero = V::splat(0.0);
+        let p = src.as_ptr();
+        let mut i = 0;
+        while i < main {
+            mask |= u64::from(V::load(p.add(i)).ne(zero).movemask()) << i;
+            i += LANES;
+        }
+    }
+    if main < src.len() {
+        mask |= nonzero_mask_scalar(&src[main..]) << main;
+    }
+    mask
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn nonzero_mask_avx2(src: &[f32]) -> u64 {
+    // SAFETY: forwarded caller contract; AVX2 enabled on this fn.
+    unsafe { nonzero_mask_v::<crate::avx2::A8>(src) }
+}
+
+fn nonzero_mask_avx2_entry(src: &[f32]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: availability asserted by the caller; length validated.
+    unsafe {
+        nonzero_mask_avx2(src)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    // SAFETY: W8 is portable; length validated by the caller.
+    unsafe {
+        nonzero_mask_v::<W8>(src)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lane-wise add — the event convolution's tap accumulate
+// ---------------------------------------------------------------------------
+
+/// `dst[i] += src[i]` over matching slices. One rounded add per lane, so
+/// the result is bitwise identical at every level.
+///
+/// # Panics
+///
+/// Asserts `level` is available and `dst.len() == src.len()`.
+#[inline]
+pub fn add_assign(level: Level, dst: &mut [f32], src: &[f32]) {
+    assert!(
+        level.is_available(),
+        "SIMD level {} unavailable",
+        level.name()
+    );
+    assert_eq!(dst.len(), src.len(), "add_assign length mismatch");
+    match level {
+        Level::Scalar => add_assign_scalar(dst, src),
+        // SAFETY: lengths validated above; W8 is portable safe Rust.
+        Level::Wide => unsafe { add_assign_v::<W8>(dst, src) },
+        Level::Avx2 => add_assign_avx2_entry(dst, src),
+    }
+}
+
+fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// # Safety
+///
+/// Caller must guarantee the ISA behind `V` is supported and
+/// `dst.len() == src.len()`.
+#[inline(always)]
+unsafe fn add_assign_v<V: SimdF32>(dst: &mut [f32], src: &[f32]) {
+    let n = dst.len();
+    let main = n - n % LANES;
+    // SAFETY: indices stay below `main ≤ n == src.len()`.
+    unsafe {
+        let dp = dst.as_mut_ptr();
+        let sp = src.as_ptr();
+        let mut i = 0;
+        while i < main {
+            V::load(dp.add(i)).add(V::load(sp.add(i))).store(dp.add(i));
+            i += LANES;
+        }
+    }
+    add_assign_scalar(&mut dst[main..], &src[main..]);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn add_assign_avx2(dst: &mut [f32], src: &[f32]) {
+    // SAFETY: forwarded caller contract; AVX2 enabled on this fn.
+    unsafe { add_assign_v::<crate::avx2::A8>(dst, src) }
+}
+
+fn add_assign_avx2_entry(dst: &mut [f32], src: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: availability asserted by the caller; lengths validated.
+    unsafe {
+        add_assign_avx2(dst, src);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    // SAFETY: W8 is portable; lengths validated by the caller.
+    unsafe {
+        add_assign_v::<W8>(dst, src);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 8×8 transpose copy — the event convolution's copy-out
+// ---------------------------------------------------------------------------
+
+/// Copies an 8×8 block transposed: `dst[j·dst_stride + i] =
+/// src[i·src_stride + j]` for `i, j < 8`. Rows are `stride` apart in
+/// each slice; entries outside the block are left alone. A bit copy —
+/// identical at every level.
+///
+/// # Panics
+///
+/// Asserts `level` is available, both strides are at least 8, and each
+/// slice holds its eight rows (`7·stride + 8` entries).
+#[inline]
+pub fn transpose_8x8(
+    level: Level,
+    src: &[f32],
+    src_stride: usize,
+    dst: &mut [f32],
+    dst_stride: usize,
+) {
+    assert!(
+        level.is_available(),
+        "SIMD level {} unavailable",
+        level.name()
+    );
+    assert!(
+        src_stride >= LANES && dst_stride >= LANES,
+        "transpose_8x8 strides {src_stride}/{dst_stride} below 8"
+    );
+    assert!(
+        src.len() >= 7 * src_stride + LANES,
+        "transpose_8x8 src too short for stride {src_stride}"
+    );
+    assert!(
+        dst.len() >= 7 * dst_stride + LANES,
+        "transpose_8x8 dst too short for stride {dst_stride}"
+    );
+    match level {
+        Level::Scalar => transpose_8x8_scalar(src, src_stride, dst, dst_stride),
+        // SAFETY: geometry validated above; W8 is portable safe Rust.
+        Level::Wide => unsafe { transpose_8x8_v::<W8>(src, src_stride, dst, dst_stride) },
+        Level::Avx2 => transpose_8x8_avx2_entry(src, src_stride, dst, dst_stride),
+    }
+}
+
+fn transpose_8x8_scalar(src: &[f32], src_stride: usize, dst: &mut [f32], dst_stride: usize) {
+    for j in 0..LANES {
+        for i in 0..LANES {
+            dst[j * dst_stride + i] = src[i * src_stride + j];
+        }
+    }
+}
+
+/// # Safety
+///
+/// Caller must guarantee the ISA behind `V` is supported and that both
+/// slices hold eight rows of 8 at their strides.
+#[inline(always)]
+unsafe fn transpose_8x8_v<V: SimdF32>(
+    src: &[f32],
+    src_stride: usize,
+    dst: &mut [f32],
+    dst_stride: usize,
+) {
+    // SAFETY: row `r < 8` starts at `r·stride` and ends by `7·stride + 8`,
+    // inside each slice per the caller contract.
+    unsafe {
+        let sp = src.as_ptr();
+        let dp = dst.as_mut_ptr();
+        let rows: [V; LANES] = std::array::from_fn(|r| V::load(sp.add(r * src_stride)));
+        for (r, v) in V::transpose8(rows).into_iter().enumerate() {
+            v.store(dp.add(r * dst_stride));
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn transpose_8x8_avx2(src: &[f32], src_stride: usize, dst: &mut [f32], dst_stride: usize) {
+    // SAFETY: forwarded caller contract; AVX2 enabled on this fn.
+    unsafe { transpose_8x8_v::<crate::avx2::A8>(src, src_stride, dst, dst_stride) }
+}
+
+fn transpose_8x8_avx2_entry(src: &[f32], src_stride: usize, dst: &mut [f32], dst_stride: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: availability asserted by the caller; geometry validated.
+    unsafe {
+        transpose_8x8_avx2(src, src_stride, dst, dst_stride);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    // SAFETY: W8 is portable; geometry validated by the caller.
+    unsafe {
+        transpose_8x8_v::<W8>(src, src_stride, dst, dst_stride);
     }
 }
 

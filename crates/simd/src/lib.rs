@@ -8,7 +8,8 @@
 //! This crate is the workspace's **only unsafe island**. Every other crate
 //! keeps `#![forbid(unsafe_code)]` and reaches vectors exclusively through
 //! the safe entry points in [`kernels`] (`gebp_4x16`, `axpy`, `if_step`,
-//! `gather_rows`), passing the [`Level`] returned by [`current`]. The
+//! `gather_rows`, and the event convolution's `nonzero_mask`, `add_assign`
+//! and `transpose_8x8`), passing the [`Level`] returned by [`current`]. The
 //! `tcl-lint` rule **S1** enforces that raw intrinsics (`core::arch`,
 //! `_mm*`) and `unsafe` never appear outside `crates/simd`.
 //!
@@ -24,8 +25,9 @@
 //!   multiply-adds skip one rounding per accumulation step, so dot-product
 //!   kernels differ from `Scalar` within an accumulated-rounding bound
 //!   (≈ half an ulp per fused step); elementwise kernels (`if_step`,
-//!   `gather_rows`) perform no reassociation or fusion and remain bitwise
-//!   identical across *all* levels.
+//!   `gather_rows`, `nonzero_mask`, `add_assign`, `transpose_8x8`) perform
+//!   no reassociation or fusion and remain bitwise identical across *all*
+//!   levels.
 //!
 //! ## Resolution order and determinism
 //!
@@ -53,4 +55,6 @@ pub(crate) mod vec;
 pub(crate) mod avx2;
 
 pub use dispatch::{current, detect_widest, pin, with_level, Level};
-pub use kernels::{axpy, gather_rows, gebp_4x16, if_step};
+pub use kernels::{
+    add_assign, axpy, gather_rows, gebp_4x16, if_step, nonzero_mask, transpose_8x8, MASK_BITS,
+};

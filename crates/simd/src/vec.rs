@@ -85,6 +85,30 @@ pub trait SimdF32: Copy {
     ///
     /// Caller must ensure the host supports this implementation's ISA.
     unsafe fn select(mask: Self, t: Self, f: Self) -> Self;
+
+    /// Lanewise unordered `self != o`, as an all-ones/all-zeros bitmask
+    /// per lane (NaN compares true, matching scalar `!=`).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the host supports this implementation's ISA.
+    unsafe fn ne(self, o: Self) -> Self;
+
+    /// The lanes' sign bits as an integer: bit `l` is lane `l`'s sign bit,
+    /// so a compare mask turns into one bit per lane.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the host supports this implementation's ISA.
+    unsafe fn movemask(self) -> u32;
+
+    /// Transposes eight vectors viewed as the rows of an 8×8 block: lane
+    /// `j` of output `i` is lane `i` of input `j`. Exact bit moves.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the host supports this implementation's ISA.
+    unsafe fn transpose8(rows: [Self; LANES]) -> [Self; LANES];
 }
 
 /// Portable 8-wide vector: safe elementwise Rust over `[f32; 8]`.
@@ -145,6 +169,26 @@ impl SimdF32 for W8 {
             let m = mask.0[i].to_bits();
             f32::from_bits((t.0[i].to_bits() & m) | (f.0[i].to_bits() & !m))
         }))
+    }
+
+    #[inline(always)]
+    unsafe fn ne(self, o: Self) -> Self {
+        W8(std::array::from_fn(|i| {
+            f32::from_bits(if self.0[i] != o.0[i] { u32::MAX } else { 0 })
+        }))
+    }
+
+    #[inline(always)]
+    unsafe fn movemask(self) -> u32 {
+        self.0
+            .iter()
+            .enumerate()
+            .fold(0, |m, (l, v)| m | (v.to_bits() >> 31) << l)
+    }
+
+    #[inline(always)]
+    unsafe fn transpose8(rows: [Self; LANES]) -> [Self; LANES] {
+        std::array::from_fn(|i| W8(std::array::from_fn(|j| rows[j].0[i])))
     }
 }
 

@@ -1,6 +1,7 @@
 //! Integrate-and-fire neuron banks (Section 2 of the paper).
 
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tcl_tensor::{par, simd, Shape, Tensor};
 
 /// How the membrane potential is reset after a spike (Eq. 3 discussion).
@@ -105,13 +106,14 @@ impl IfNeurons {
         let thr = self.threshold;
         let subtract = matches!(self.reset, ResetMode::Subtract);
         // Each neuron updates independently, so large banks fan out across
-        // threads in matching potential/spike chunks; the spike count is
-        // recovered from the 0/1 spike tensor afterwards, which keeps the
-        // tally independent of the chunking. The membrane update runs
-        // through the SIMD `if_step` kernel at the caller-resolved level;
-        // `if_step` is elementwise (no fusion), so every level — and every
-        // chunking — produces bitwise identical trajectories.
+        // threads in matching potential/spike chunks. The membrane update
+        // runs through the SIMD `if_step` kernel at the caller-resolved
+        // level; `if_step` is elementwise (no fusion), so every level — and
+        // every chunking — produces bitwise identical trajectories. It also
+        // returns its chunk's spike count, and an integer sum does not
+        // depend on the chunking either.
         let level = simd::current();
+        let fired = AtomicU64::new(0);
         par::par_items_mut2(
             par::current(),
             potential.data_mut(),
@@ -122,10 +124,13 @@ impl IfNeurons {
             par::min_items_per_worker(4),
             |first, vs, ss| {
                 let zs = &current.data()[first..first + vs.len()];
-                simd::if_step(level, vs, zs, ss, thr, subtract);
+                let chunk = simd::if_step(level, vs, zs, ss, thr, subtract);
+                // ordering: Relaxed — the chunks' counts are only summed,
+                // and the fan-out joins every worker before `into_inner`.
+                fired.fetch_add(chunk as u64, Ordering::Relaxed);
             },
         );
-        let emitted = spikes.data().iter().filter(|&&s| s != 0.0).count() as u64;
+        let emitted = fired.into_inner();
         self.spikes_emitted += emitted;
         self.steps += 1;
         if tcl_telemetry::metrics_enabled() {

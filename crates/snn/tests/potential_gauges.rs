@@ -1,4 +1,5 @@
-//! The `snn.potential_min`/`max` gauges against a scalar-fold oracle.
+//! The `snn.potential_min`/`max` gauges against a scalar-fold oracle, and
+//! the `snn.spikes` counter against the spike rasters.
 //!
 //! With metrics on, every IF step sets the two gauges to its bank's
 //! membrane range. The range is folded in vector blocks; this test checks
@@ -108,4 +109,56 @@ fn potential_gauges_equal_the_scalar_fold_over_every_if_step() {
     assert!(los.iter().any(|&lo| lo < 0.0), "membranes go negative");
     assert_eq!(gauge(&snaps, "snn.potential_min"), gauge_of(&los));
     assert_eq!(gauge(&snaps, "snn.potential_max"), gauge_of(&his));
+}
+
+/// A bank whose minimum sits in its last entry and whose maximum sits in
+/// the tail past the last full 32-entry block, then the reverse: a fold
+/// that dropped the last entry or the tail would miss one of them.
+#[test]
+fn extremes_in_the_last_entry_and_the_tail_are_folded() {
+    // 3·32 + 7 entries: the tail is entries 96..103.
+    let len = 103;
+    for (lo_at, hi_at) in [(len - 1, len - 4), (len - 3, len - 1)] {
+        let mut rng = SeededRng::new(lo_at as u64);
+        let mut z: Vec<f32> = (0..len).map(|_| rng.normal() * 0.1).collect();
+        z[lo_at] = -5.0;
+        z[hi_at] = 0.75;
+        let mut bank = IfNeurons::new(1.0, ResetMode::Subtract);
+        let current = Tensor::from_vec([1, len], z.clone()).unwrap();
+        let (snaps, _lines) = with_captured(|| {
+            reset_metrics();
+            bank.step(&current).unwrap();
+            metrics_snapshot()
+        });
+        // Nothing reaches the threshold, so the membrane is the current.
+        assert_eq!(bank.potential().unwrap().data(), &z[..]);
+        assert_eq!(gauge(&snaps, "snn.potential_min"), (-5.0, -5.0, -5.0));
+        assert_eq!(gauge(&snaps, "snn.potential_max"), (0.75, 0.75, 0.75));
+    }
+}
+
+/// `if_step` returns each chunk's spike count and the bank adds the
+/// counts up; the `snn.spikes` counter must equal the ones in the rasters,
+/// on a 40,000-neuron bank that fans out under `TCL_THREADS=4`.
+#[test]
+fn spike_counter_equals_the_rasters() {
+    let mut rng = SeededRng::new(19);
+    let z = Tensor::from_fn([4, 10_000], |_| rng.normal() * 0.7);
+    let mut bank = IfNeurons::new(0.9, ResetMode::Subtract);
+    let ((ones, snaps), _lines) = with_captured(|| {
+        reset_metrics();
+        let mut ones = 0u64;
+        for _ in 0..3 {
+            let s = bank.step(&z).unwrap();
+            ones += s.data().iter().filter(|&&v| v == 1.0).count() as u64;
+        }
+        (ones, metrics_snapshot())
+    });
+    let counter = snaps.iter().find_map(|m| match m {
+        MetricSnapshot::Counter { name, value } if name == "snn.spikes" => Some(*value),
+        _ => None,
+    });
+    assert!(ones > 0);
+    assert_eq!(counter, Some(ones));
+    assert_eq!(bank.spikes_emitted(), ones);
 }

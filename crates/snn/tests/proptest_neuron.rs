@@ -167,3 +167,36 @@ proptest! {
         prop_assert_eq!(first, second);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `if_step` counts the spikes it writes per chunk, and the bank sums
+    /// the chunks' counts: `spikes_emitted` must still equal the ones in
+    /// the returned rasters. The bank holds 40,000 neurons, enough to fan
+    /// out in chunks under `TCL_THREADS=4`; NaN and infinite currents are
+    /// mixed in. (The `snn.spikes` counter, global to the process and so
+    /// raced by this file's other tests, is checked the same way in
+    /// `potential_gauges.rs`.)
+    #[test]
+    fn spikes_emitted_equals_the_rasters(
+        seed in 0u64..1_000_000,
+        steps in 1usize..5,
+        zero_reset in 0u8..2,
+    ) {
+        let mut rng = tcl_tensor::SeededRng::new(seed);
+        let mut z = Tensor::from_fn([4, 10_000], |_| rng.normal() * 0.7);
+        for (i, v) in z.data_mut().iter_mut().enumerate().step_by(997) {
+            *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3];
+        }
+        let reset = if zero_reset == 1 { ResetMode::Zero } else { ResetMode::Subtract };
+        let mut bank = IfNeurons::new(0.9, reset);
+        let mut ones = 0u64;
+        for _ in 0..steps {
+            let s = bank.step(&z).unwrap();
+            ones += s.data().iter().filter(|&&v| v == 1.0).count() as u64;
+        }
+        prop_assert!(ones > 0);
+        prop_assert_eq!(bank.spikes_emitted(), ones);
+    }
+}

@@ -15,9 +15,10 @@ use crate::error::{Result, TensorError};
 use crate::ops::matmul::{matmul_into, transpose_into};
 use crate::par;
 use crate::par::min_items_per_worker;
+use crate::simd;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
+use std::cell::RefCell;
 
 /// Geometry of a 2-D convolution: kernel size, stride, and symmetric zero
 /// padding.
@@ -104,33 +105,48 @@ impl ConvGeometry {
     }
 }
 
-/// `input`'s `channels` planes surrounded by a `pad`-wide zero border, as
-/// `(planes, padded_h, padded_w)`; borrowed unchanged when `pad == 0`.
+thread_local! {
+    /// The padded planes of the last padded lowering on this thread,
+    /// reused so a lowering writes its padding into an existing buffer.
+    static PADDED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Calls `f(planes, padded_h, padded_w)` with `input`'s `channels` planes
+/// surrounded by a `pad`-wide zero border; `input` itself when `pad == 0`.
 ///
 /// Every sliding window lies inside the padded planes, so the lowering
 /// reads each tap without a bounds test and writes no padding of its own.
-fn padded_planes(
+/// The planes live in a per-thread buffer that every call rewrites whole
+/// (border zeros included), so no call sees another's data, and no call
+/// allocates once the buffer has grown to the largest image lowered.
+fn with_padded_planes<R>(
     input: &[f32],
     channels: usize,
     in_h: usize,
     in_w: usize,
     pad: usize,
-) -> (Cow<'_, [f32]>, usize, usize) {
+    f: impl FnOnce(&[f32], usize, usize) -> R,
+) -> R {
     if pad == 0 {
-        return (Cow::Borrowed(input), in_h, in_w);
+        return f(input, in_h, in_w);
     }
     let (ph, pw) = (in_h + 2 * pad, in_w + 2 * pad);
-    let mut planes = vec![0.0f32; channels * ph * pw];
-    if in_w > 0 {
-        for (dst, src) in planes
-            .chunks_exact_mut(ph * pw)
-            .flat_map(|plane| plane[pad * pw..(pad + in_h) * pw].chunks_exact_mut(pw))
-            .zip(input.chunks_exact(in_w))
-        {
-            dst[pad..pad + in_w].copy_from_slice(src);
+    PADDED.with_borrow_mut(|planes| {
+        // One fill zeroes the border; the image rows then overwrite the
+        // interior, so every call rewrites the buffer whole.
+        planes.clear();
+        planes.resize(channels * ph * pw, 0.0);
+        if in_w > 0 {
+            for (dst, src) in planes
+                .chunks_exact_mut(ph * pw)
+                .flat_map(|plane| plane[pad * pw..(pad + in_h) * pw].chunks_exact_mut(pw))
+                .zip(input.chunks_exact(in_w))
+            {
+                copy_row(&mut dst[pad..pad + in_w], src);
+            }
         }
-    }
-    (Cow::Owned(planes), ph, pw)
+        f(planes, ph, pw)
+    })
 }
 
 /// Copies `src` into the equally long `dst` in fixed 8-lane blocks, so a
@@ -153,13 +169,55 @@ fn copy_row(dst: &mut [f32], src: &[f32]) {
     }
 }
 
+/// One stride-1 `cols` row whose output rows are `W` wide: output row `oh`
+/// is `src[oh·pw..][..W]`, moved as one fixed-size array copy.
+#[inline]
+fn copy_rows_fixed<const W: usize>(dst: &mut [f32], src: &[f32], pw: usize) {
+    for (oh, d) in dst.chunks_exact_mut(W).enumerate() {
+        let s = &src[oh * pw..oh * pw + W];
+        if let (Ok(d), Ok(s)) = (<&mut [f32; W]>::try_from(d), <&[f32; W]>::try_from(s)) {
+            *d = *s;
+        }
+    }
+}
+
+/// One `cols` row (`out_h` output rows of `out_w`) lowered from `src`, the
+/// padded plane from the row's first tap on. Stride 1 at the output widths
+/// the models use (8, 16, 32) takes fixed-size copies; other widths copy
+/// each row in 8-lane blocks, and larger strides gather.
+#[inline]
+fn lower_row(dst: &mut [f32], src: &[f32], pw: usize, out_w: usize, stride: usize) {
+    match (stride, out_w) {
+        (1, 8) => copy_rows_fixed::<8>(dst, src, pw),
+        (1, 16) => copy_rows_fixed::<16>(dst, src, pw),
+        (1, 32) => copy_rows_fixed::<32>(dst, src, pw),
+        _ => lower_row_generic(dst, src, pw, out_w, stride),
+    }
+}
+
+/// [`lower_row`] for any width and stride: one row copy (stride 1) or
+/// strided gather per output row.
+fn lower_row_generic(dst: &mut [f32], src: &[f32], pw: usize, out_w: usize, stride: usize) {
+    for (oh, dst_row) in dst.chunks_exact_mut(out_w).enumerate() {
+        let src = &src[oh * stride * pw..];
+        if stride == 1 {
+            copy_row(dst_row, &src[..out_w]);
+        } else {
+            for (d, &s) in dst_row.iter_mut().zip(src.iter().step_by(stride)) {
+                *d = s;
+            }
+        }
+    }
+}
+
 /// Unrolls sliding windows of a single image `[C, H, W]` (given as a flat
 /// slice) into a `[C*kh*kw, out_h*out_w]` column matrix.
 ///
 /// Out-of-bounds (padding) positions contribute zeros. The image is padded
-/// once per call, so every `cols` row segment is a plain copy of a padded
-/// image row (stride 1) or a branch-free strided gather: no per-element
-/// bounds test, no per-row padding fills.
+/// once per call into a reused per-thread buffer, so every `cols` row
+/// segment is a plain copy of a padded image row (stride 1; fixed-size at
+/// output widths 8, 16 and 32) or a branch-free strided gather: no
+/// per-element bounds test, no per-row padding fills.
 #[allow(clippy::too_many_arguments)] // geometry is explicit by design in the hot path
 pub fn im2col_single(
     input: &[f32],
@@ -177,26 +235,28 @@ pub fn im2col_single(
         cols.len(),
         channels * geom.kernel_h * geom.kernel_w * col_width
     );
+    if col_width == 0 {
+        return;
+    }
     let stride = geom.stride;
-    let (planes, ph, pw) = padded_planes(input, channels, in_h, in_w, geom.padding);
-    let mut rows = cols.chunks_exact_mut(col_width.max(1));
-    for plane in planes.chunks_exact((ph * pw).max(1)) {
-        for kh in 0..geom.kernel_h {
-            for kw in 0..geom.kernel_w {
-                let Some(dst) = rows.next() else { return };
-                for (oh, dst_row) in dst.chunks_exact_mut(out_w).enumerate() {
-                    let src = &plane[(oh * stride + kh) * pw + kw..];
-                    if stride == 1 {
-                        copy_row(dst_row, &src[..out_w]);
-                    } else {
-                        for (d, &s) in dst_row.iter_mut().zip(src.iter().step_by(stride)) {
-                            *d = s;
-                        }
+    with_padded_planes(
+        input,
+        channels,
+        in_h,
+        in_w,
+        geom.padding,
+        |planes, ph, pw| {
+            let mut rows = cols.chunks_exact_mut(col_width);
+            for plane in planes.chunks_exact((ph * pw).max(1)) {
+                for kh in 0..geom.kernel_h {
+                    for kw in 0..geom.kernel_w {
+                        let Some(dst) = rows.next() else { return };
+                        lower_row(dst, &plane[kh * pw + kw..], pw, out_w, stride);
                     }
                 }
             }
-        }
-    }
+        },
+    );
 }
 
 /// [`im2col_single`] written transposed: `cols_t` is `[out_h*out_w,
@@ -218,21 +278,29 @@ pub fn im2col_transposed_single(
     debug_assert_eq!(input.len(), channels * in_h * in_w);
     debug_assert_eq!(cols_t.len(), rows * out_h * out_w);
     let stride = geom.stride;
-    let (planes, ph, pw) = padded_planes(input, channels, in_h, in_w, geom.padding);
-    for (p, dst) in cols_t.chunks_exact_mut(rows.max(1)).enumerate() {
-        let (oh, ow) = (p / out_w, p % out_w);
-        let mut taps = dst.iter_mut();
-        for plane in planes.chunks_exact((ph * pw).max(1)) {
-            for kh in 0..geom.kernel_h {
-                let src = &plane[(oh * stride + kh) * pw + ow * stride..][..geom.kernel_w];
-                // `src` leads the zip so the exhausted side is the short one
-                // and no tap slot is consumed past the kernel row.
-                for (&s, d) in src.iter().zip(&mut taps) {
-                    *d = s;
+    with_padded_planes(
+        input,
+        channels,
+        in_h,
+        in_w,
+        geom.padding,
+        |planes, ph, pw| {
+            for (p, dst) in cols_t.chunks_exact_mut(rows.max(1)).enumerate() {
+                let (oh, ow) = (p / out_w, p % out_w);
+                let mut taps = dst.iter_mut();
+                for plane in planes.chunks_exact((ph * pw).max(1)) {
+                    for kh in 0..geom.kernel_h {
+                        let src = &plane[(oh * stride + kh) * pw + ow * stride..][..geom.kernel_w];
+                        // `src` leads the zip so the exhausted side is the short one
+                        // and no tap slot is consumed past the kernel row.
+                        for (&s, d) in src.iter().zip(&mut taps) {
+                            *d = s;
+                        }
+                    }
                 }
             }
-        }
-    }
+        },
+    );
 }
 
 /// The outputs `o` in `0..out_len` whose input coordinate
@@ -528,51 +596,132 @@ impl ConvTaps {
     }
 }
 
-/// `dst += src`, one 8-lane vector add per block. Plain adds round the
-/// same at every vector width, so this needs no dispatch.
-#[inline]
-fn add_blocks(dst: &mut [[f32; LANES]], src: &[[f32; LANES]]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        for lane in 0..LANES {
-            d[lane] += s[lane];
+thread_local! {
+    /// [`conv2d_spikes`]' margin accumulator, kept per thread so a call
+    /// reuses the buffer of the last one instead of allocating its own.
+    static SPIKE_ACC: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Copies one margin-accumulator row out as row `oy` of every output
+/// plane: `cells` holds `out_w` cells `padded` lanes apart, lane `o` of
+/// cell `ox` going to `dst[o·col_width + oy·out_w + ox]`. Whole groups of
+/// 8 columns by 8 channels move as one transpose; the last `out_w % 8`
+/// columns, and the channels of a block past `out_c`, are skipped or
+/// copied one by one. A bit copy at every level.
+#[allow(clippy::too_many_arguments)] // geometry is explicit by design in the hot path
+#[inline(always)]
+fn copy_out_row(
+    level: simd::Level,
+    cells: &[f32],
+    padded: usize,
+    out_c: usize,
+    oy: usize,
+    out_w: usize,
+    col_width: usize,
+    dst: &mut [f32],
+) {
+    let groups = out_w - out_w % LANES;
+    for o0 in (0..out_c).step_by(LANES) {
+        let channels = (out_c - o0).min(LANES);
+        for ox0 in (0..groups).step_by(LANES) {
+            let src = &cells[ox0 * padded + o0..];
+            let at = o0 * col_width + oy * out_w + ox0;
+            if channels == LANES {
+                simd::transpose_8x8(level, src, padded, &mut dst[at..], col_width);
+            } else {
+                let mut block = [0.0f32; LANES * LANES];
+                simd::transpose_8x8(level, src, padded, &mut block, LANES);
+                for (r, row) in block.chunks_exact(LANES).take(channels).enumerate() {
+                    dst[at + r * col_width..][..LANES].copy_from_slice(row);
+                }
+            }
+        }
+        for ox in groups..out_w {
+            for o in o0..o0 + channels {
+                dst[o * col_width + oy * out_w + ox] = cells[ox * padded + o];
+            }
         }
     }
 }
 
-/// Nonzero lanes of a block of at most 16 entries as a bit mask (lane `l`
-/// is bit `l`). A full block forms each lane's bit separately and then
-/// OR-reduces them, so its compares run as vector ops.
-#[inline]
-fn nonzero_mask(block: &[f32]) -> u64 {
-    let mut bits = [0u32; 16];
-    if let Ok(full) = <&[f32; 16]>::try_from(block) {
-        for (lane, (bit, &v)) in bits.iter_mut().zip(full).enumerate() {
-            *bit = u32::from(v != 0.0) << lane;
-        }
-    } else {
-        for (lane, (bit, &v)) in bits.iter_mut().zip(block).enumerate() {
-            *bit = u32::from(v != 0.0) << lane;
-        }
-    }
-    u64::from(bits.iter().fold(0, |m, &b| m | b))
+/// The geometry [`add_spikes`] walks: the input's `channels × h × w`
+/// planes, and in lanes the taps of one kernel row (`seg = kw·O'`), one
+/// margin cell (`padded = O'`) and one margin row (`mrow`).
+#[derive(Clone, Copy)]
+struct SpikeWalk {
+    channels: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    seg: usize,
+    padded: usize,
+    mrow: usize,
 }
 
-/// Calls `f` with the index of every nonzero entry of `plane`, ascending.
-/// Each 64-entry word gets a nonzero mask, built 16 lanes at a time, and
-/// its set bits are walked: the zeros of a sparse raster cost no branch,
-/// and the walk's exit branch is taken once per word.
-#[inline]
-fn for_each_nonzero(plane: &[f32], mut f: impl FnMut(usize)) {
-    for (word, entries) in plane.chunks(64).enumerate() {
-        let mut mask = entries
-            .chunks(16)
-            .enumerate()
-            .fold(0u64, |m, (block, lanes)| {
-                m | nonzero_mask(lanes) << (16 * block)
-            });
-        while mask != 0 {
-            f(word * 64 + mask.trailing_zeros() as usize);
-            mask &= mask - 1;
+/// Adds every spike of one item `src` into the margin accumulator `acc`.
+///
+/// Each input row gets a [`simd::nonzero_mask`] word per 64 entries.
+/// Rows of up to 32 entries share a word at a power-of-two stride (8, 16
+/// or 32 bits), so a bit's row and column come from a shift and a mask,
+/// never a division, and one walk serves several short rows. The set bits
+/// are walked in ascending order, which visits spikes in ascending
+/// `(y, x)`: a spike adds each of its channel's `kh` kernel rows of taps,
+/// `seg` lanes, to the margin row it reaches as one [`simd::add_assign`].
+/// Inlined into one copy per `level`, so the kernels dispatch at compile
+/// time.
+#[inline(always)]
+fn add_spikes<const SEG: usize>(
+    level: simd::Level,
+    src: &[f32],
+    taps: &[f32],
+    acc: &mut [f32],
+    g: SpikeWalk,
+) {
+    let SpikeWalk {
+        channels,
+        h,
+        w,
+        kh,
+        padded,
+        mrow,
+        ..
+    } = g;
+    debug_assert!(SEG == 0 || SEG == g.seg);
+    let seg = if SEG == 0 { g.seg } else { SEG };
+    // Bits per row in a shared word, and rows per word (1 past 32 entries).
+    let (row_bits, rows_per_word) = match w {
+        0..=8 => (8, 8),
+        9..=16 => (16, 4),
+        17..=32 => (32, 2),
+        _ => (simd::MASK_BITS, 1),
+    };
+    let shift = row_bits.trailing_zeros();
+    for ch in 0..channels {
+        let kernel = &taps[ch * kh * seg..(ch + 1) * kh * seg];
+        let plane = &src[ch * h * w..(ch + 1) * h * w];
+        for y0 in (0..h).step_by(rows_per_word) {
+            for x0 in (0..w).step_by(simd::MASK_BITS) {
+                let mut mask = 0u64;
+                for r in 0..rows_per_word.min(h - y0) {
+                    let row = &plane[(y0 + r) * w..(y0 + r + 1) * w];
+                    let word = &row[x0..w.min(x0 + simd::MASK_BITS)];
+                    mask |= simd::nonzero_mask(level, word) << (r * row_bits);
+                }
+                while mask != 0 {
+                    let bit = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    let (y, x) = (y0 + (bit >> shift), x0 + (bit & (row_bits - 1)));
+                    let at = y * mrow + x * padded;
+                    for a in 0..kh {
+                        let cells = at + a * mrow;
+                        simd::add_assign(
+                            level,
+                            &mut acc[cells..cells + seg],
+                            &kernel[a * seg..(a + 1) * seg],
+                        );
+                    }
+                }
+            }
         }
     }
 }
@@ -588,14 +737,18 @@ fn for_each_nonzero(plane: &[f32], mut f: impl FnMut(usize)) {
 ///
 /// Returns `[N, O, out_h, out_w]`. When [`spike_conv_applies`] holds, the
 /// result is bitwise equal to [`conv2d`] on the same kernel at every SIMD
-/// level; the kernel itself only adds, so it reads no dispatch level.
+/// level: the vector kernels it calls only compare, add once per lane or
+/// move bits.
 ///
 /// Each item accumulates into a zeroed `[H+kh-1][W+kw-1][O']` margin
-/// buffer: a spike at `(y, x)` adds kernel row `a` of its channel's taps
-/// to the `kw` cells from `(y+a, x)`, so no tap needs a bounds test.
-/// Spikes are visited plane by plane in ascending `(y, x)` order. The
-/// in-image window is then copied out as `[O, out_h, out_w]` and the bias
-/// added, in the order [`conv2d`] adds it.
+/// buffer, reused across calls on a thread. The spikes are found with
+/// [`simd::nonzero_mask`] words and visited plane by plane in ascending
+/// `(y, x)` order: a spike at `(y, x)` adds kernel row `a` of its
+/// channel's taps to the `kw` cells from `(y+a, x)` as one
+/// [`simd::add_assign`] over `kw·O'` lanes, so no tap needs a bounds test
+/// and no position needs a division. Each in-image margin row is then
+/// copied out by [`simd::transpose_8x8`] into `[O, out_h, out_w]`, and the
+/// bias added in the order [`conv2d`] adds it.
 ///
 /// # Errors
 ///
@@ -643,22 +796,41 @@ pub fn conv2d_spikes(
             ("out_w", out_w as f64),
         ]
     });
-    // Blocks per cell, per kernel row, and per accumulator row.
-    let cell_blocks = padded / LANES;
-    let row_blocks = kw * cell_blocks;
     let (mh, mw) = (h + kh - 1, w + kw - 1);
-    let stride_blocks = mw * cell_blocks;
+    let walk = SpikeWalk {
+        channels: c,
+        h,
+        w,
+        kh,
+        seg: kw * padded,
+        padded,
+        mrow: mw * padded,
+    };
+    let mrow = walk.mrow;
     // Output (oy, ox) sits at margin cell (oy + top, ox + left).
     let (top, left) = (kh - 1 - geom.padding, kw - 1 - geom.padding);
-    let (tap_blocks, _) = taps.taps.data().as_chunks::<LANES>();
-    // The first block of the margin cell each input position lands on.
-    let cell_of: Vec<usize> = (0..h * w)
-        .map(|p| p / w * stride_blocks + p % w * cell_blocks)
-        .collect();
+    let taps = taps.taps.data();
     let col_width = out_h * out_w;
     let item_in = c * h * w;
     let item_out = out_c * col_width;
     let mut out = Tensor::zeros([n, out_c, out_h, out_w]);
+    let level = simd::current();
+    // One item: its spikes into the zeroed margin, then the in-image
+    // window out as `[O, out_h, out_w]`.
+    let spike_item = |level, src: &[f32], acc: &mut [f32], dst: &mut [f32]| {
+        // The same walk, with the tap-row length a constant for a 3×3
+        // kernel into 8 or 16 channels (cnn6's IF-fed convolutions): the
+        // adds then unroll, which halves their cost.
+        match walk.seg {
+            24 => add_spikes::<24>(level, src, taps, acc, walk),
+            48 => add_spikes::<48>(level, src, taps, acc, walk),
+            _ => add_spikes::<0>(level, src, taps, acc, walk),
+        }
+        for oy in 0..out_h {
+            let cells = &acc[(oy + top) * mrow + left * padded..(oy + top + 1) * mrow];
+            copy_out_row(level, cells, padded, out_c, oy, out_w, col_width, dst);
+        }
+    };
     // The dense add count, as conv2d estimates its multiply-adds.
     let min_items = min_items_per_worker(item_in * kh * kw * out_c);
     par::par_items_mut(
@@ -668,42 +840,28 @@ pub fn conv2d_spikes(
         1,
         min_items,
         |first_item, run| {
-            let mut acc = vec![[0.0f32; LANES]; mh * stride_blocks];
-            for (i, dst) in run.chunks_exact_mut(item_out.max(1)).enumerate() {
-                let ni = first_item + i;
-                let src = &input.data()[ni * item_in..(ni + 1) * item_in];
-                acc.fill([0.0; LANES]);
-                for (plane, kernel) in src
-                    .chunks_exact((h * w).max(1))
-                    .zip(tap_blocks.chunks_exact((kh * row_blocks).max(1)))
-                {
-                    for_each_nonzero(plane, |p| {
-                        let mut cell = cell_of[p];
-                        for tap_row in kernel.chunks_exact(row_blocks) {
-                            add_blocks(&mut acc[cell..cell + row_blocks], tap_row);
-                            cell += stride_blocks;
-                        }
-                    });
-                }
-                for oy in 0..out_h {
-                    let start = (oy + top) * stride_blocks + left * cell_blocks;
-                    let cells = &acc[start..start + out_w * cell_blocks];
-                    for (o, dst_plane) in dst.chunks_exact_mut(col_width.max(1)).enumerate() {
-                        let (block, lane) = (o / LANES, o % LANES);
-                        let dst_row = &mut dst_plane[oy * out_w..(oy + 1) * out_w];
-                        for (ox, d) in dst_row.iter_mut().enumerate() {
-                            *d = cells[ox * cell_blocks + block][lane];
+            SPIKE_ACC.with_borrow_mut(|acc| {
+                acc.resize(mh * mrow, 0.0);
+                for (i, dst) in run.chunks_exact_mut(item_out.max(1)).enumerate() {
+                    let ni = first_item + i;
+                    let src = &input.data()[ni * item_in..(ni + 1) * item_in];
+                    acc.fill(0.0);
+                    // One copy of the item per level, so the kernels' level
+                    // dispatch folds away inside the per-spike loop.
+                    match level {
+                        simd::Level::Scalar => spike_item(simd::Level::Scalar, src, acc, dst),
+                        simd::Level::Wide => spike_item(simd::Level::Wide, src, acc, dst),
+                        simd::Level::Avx2 => spike_item(simd::Level::Avx2, src, acc, dst),
+                    }
+                    if let Some(b) = bias {
+                        for (o, &bv) in b.data().iter().enumerate() {
+                            for v in dst[o * col_width..(o + 1) * col_width].iter_mut() {
+                                *v += bv;
+                            }
                         }
                     }
                 }
-                if let Some(b) = bias {
-                    for (o, &bv) in b.data().iter().enumerate() {
-                        for v in dst[o * col_width..(o + 1) * col_width].iter_mut() {
-                            *v += bv;
-                        }
-                    }
-                }
-            }
+            });
         },
     );
     Ok(out)

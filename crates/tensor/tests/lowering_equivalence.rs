@@ -290,6 +290,56 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Stride 1 lowers rows with fixed-size copies at output widths 8, 16
+    /// and 32 and with the generic row loop at every other width. Both
+    /// must give the per-element reference's bits, padded or not, and so
+    /// must `conv2d` built on them at every SIMD level.
+    #[test]
+    fn stride1_fixed_and_odd_widths_match_reference(
+        width_pick in 0usize..7,
+        channels in 1usize..4,
+        out_h in 1usize..6,
+        kernel in 1usize..4,
+        pad_pick in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let out_w = [8usize, 16, 32, 1, 7, 9, 33][width_pick];
+        // Padding below the kernel, and small enough that the input is at
+        // least one row tall: at stride 1, out = in + 2·padding − kernel + 1.
+        let padding = pad_pick.min(kernel - 1).min((out_h.min(out_w) + kernel - 2) / 2);
+        let (in_h, in_w) = (out_h + kernel - 1 - 2 * padding, out_w + kernel - 1 - 2 * padding);
+        let geom = ConvGeometry::square(kernel, 1, padding).unwrap();
+        prop_assert_eq!(geom.output_hw(in_h, in_w).unwrap(), (out_h, out_w));
+        let mut rng = SeededRng::new(seed);
+        let input = random_vec(&mut rng, channels * in_h * in_w);
+        let len = channels * kernel * kernel * out_h * out_w;
+        let mut want = vec![f32::NAN; len];
+        reference_im2col(&input, channels, in_h, in_w, geom, out_h, out_w, &mut want);
+        let mut got = vec![f32::NAN; len];
+        im2col_single(&input, channels, in_h, in_w, geom, out_h, out_w, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want), "out_w {} {:?}", out_w, geom);
+
+        let x = Tensor::from_vec([1, channels, in_h, in_w], input).unwrap();
+        let w = Tensor::from_vec(
+            [3, channels, kernel, kernel],
+            random_vec(&mut rng, 3 * channels * kernel * kernel),
+        )
+        .unwrap();
+        let b = Tensor::from_vec([3], random_vec(&mut rng, 3)).unwrap();
+        for level in simd::Level::available() {
+            simd::with_level(level, || -> Result<(), TestCaseError> {
+                let y = conv2d(&x, &w, Some(&b), geom).unwrap();
+                let want_y = reference_conv2d(&x, &w, &b, geom);
+                prop_assert_eq!(bits(y.data()), bits(&want_y), "{} out_w {}", level.name(), out_w);
+                Ok(())
+            })?;
+        }
+    }
+}
+
 /// A geometry whose only row never meets the image: a 1×1 input, a 1×1
 /// kernel, stride 2 and padding 1 put output 0 on the padding and output 1
 /// past the edge. The lowering must write zeros and the fold must leave

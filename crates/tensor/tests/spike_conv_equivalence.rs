@@ -206,6 +206,50 @@ fn cnn6_geometry_matches_at_every_level() {
     }
 }
 
+/// The shapes the event path's vector kernels split unevenly, at every
+/// level: output widths that are not a multiple of 8 (the copy-out's
+/// column tail), rows of up to 8, 16 and 32 entries (which share a mask
+/// word), rows wider than 64 entries (several mask words per input row),
+/// and O' of 8, 16 and 24 with full and partial 8-channel blocks.
+#[test]
+fn ragged_widths_wide_rows_and_channel_blocks_match_at_every_level() {
+    let mut rng = SeededRng::new(19);
+    let shapes = [
+        (6, 3, 1),
+        (13, 3, 1),
+        (27, 3, 1),
+        (64, 3, 1),
+        (65, 3, 0),
+        (70, 1, 0),
+        (131, 5, 2),
+    ];
+    for (in_w, kernel, pad) in shapes {
+        let geom = ConvGeometry::square(kernel, 1, pad).unwrap();
+        let (_, out_w) = geom.output_hw(kernel + 1, in_w).unwrap();
+        for out_c in [8, 16, 24, 5, 13, 21] {
+            for density in [0.15, 0.6] {
+                let x = raster(&mut rng, [2, 3, kernel + 1, in_w], density);
+                let w = weights(&mut rng, [out_c, 3, kernel, kernel]);
+                let b = rng.uniform_tensor([out_c], -0.1, 0.1);
+                let taps = ConvTaps::new(&w).unwrap();
+                assert_eq!(taps.taps().dims()[3], out_c.div_ceil(8) * 8);
+                for level in simd::Level::available() {
+                    simd::with_level(level, || {
+                        let want = conv2d(&x, &w, Some(&b), geom).unwrap();
+                        let got = conv2d_spikes(&x, &taps, Some(&b), geom).unwrap();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{} in_w={in_w} out_w={out_w} out_c={out_c} {geom:?}",
+                            level.name()
+                        );
+                    });
+                }
+            }
+        }
+    }
+}
+
 /// The tap layout: `[C, kh, kw, O']` with `O` padded to whole 8-lane
 /// blocks and both kernel axes reversed.
 #[test]
