@@ -128,6 +128,11 @@ TCL_SIMD=wide TCL_THREADS=1 cargo test -q -p tcl-simd -p tcl-tensor -p tcl-snn -
 echo "==> cargo test -p tcl-snn -p tcl-serve --tests (TCL_METRICS=1)"
 TCL_METRICS=1 cargo test -q -p tcl-snn -p tcl-serve --tests
 
+# One worker: `Engine` runs its batches inline on the calling thread, not on
+# the pool, so the goldens pin both paths.
+echo "==> cargo test -p tcl-core golden_regression + spike_path (TCL_THREADS=1)"
+TCL_THREADS=1 cargo test -q -p tcl-core --test golden_regression --test spike_path
+
 elapsed=$(( $(date +%s) - test_start ))
 budget="${TCL_TEST_BUDGET_S:-1200}"
 if [ "$elapsed" -gt "$budget" ]; then

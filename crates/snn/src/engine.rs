@@ -5,9 +5,14 @@
 //! shape for a single sweep, but the benchmark drivers evaluate the *same*
 //! converted network dozens of times (per strategy, per checkpoint grid, per
 //! ablation), re-paying the clone and spawn cost each time. [`Engine`] keeps
-//! a long-lived worker pool whose threads cache a per-worker network replica
-//! keyed by an epoch counter, so repeated sweeps of one network clone it once
-//! per worker and then only `reset()` between presentations.
+//! a long-lived worker pool whose threads cache a per-worker
+//! [`LaneEngine`] session, keyed by an epoch counter, so repeated sweeps of
+//! one network clone it once per worker.
+//!
+//! A worker presents a mini-batch on its session: one admission of every
+//! row, steps until every lane has retired, then a fold of the checkpoint
+//! scores. The session's loop is the one the serving layer runs, so the
+//! readout, the retirement rule and the compaction exist once.
 //!
 //! The engine also adds **per-sample early exit** ([`ExitPolicy::Adaptive`]):
 //! rate-coded evidence accumulates monotonically, so once a sample's top-1
@@ -27,13 +32,18 @@
 //! per-sample exit steps, predictions at exit, the aggregated margin
 //! trajectory ([`MarginTrace`]), and the total timesteps saved.
 
-use crate::network::{gather_lanes, Drive, SpikingNetwork};
-use crate::sim::{InputCoding, Readout, SimConfig, SweepResult};
+use crate::lanes::{LaneEngine, LaneId};
+use crate::network::{gather_lanes, SpikingNetwork};
+use crate::sim::{InputCoding, SimConfig, SweepResult};
 use crate::trace::MarginTrace;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use tcl_tensor::{ops, par, simd, Result, SeededRng, Shape, Tensor, TensorError};
+use tcl_tensor::{par, simd, Result, SeededRng, Tensor, TensorError};
+
+// The unit tests below reach these through `use super::*`.
+#[cfg(test)]
+use crate::{lanes::top2, sim::Readout};
 
 /// When a sample may stop simulating before the final checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -173,18 +183,19 @@ struct Worker {
 /// A persistent batched inference engine (see the module docs).
 ///
 /// Worker threads are spawned lazily on the first evaluation that can use
-/// them and live until the engine is dropped. Each worker caches a network
-/// replica keyed by an *epoch*: [`Engine::evaluate_shared`] re-uses the
-/// cached replicas whenever it sees the same `Arc` as the previous call, so
-/// only the first sweep of a network pays the per-worker clone.
+/// them and live until the engine is dropped. Each worker caches a
+/// [`LaneEngine`] session over a network replica, keyed by an *epoch*:
+/// [`Engine::evaluate_shared`] re-uses the cached replicas whenever it sees
+/// the same `Arc` as the previous call, so only the first sweep of a
+/// network pays the per-worker clone.
 pub struct Engine {
     threads: usize,
     workers: Vec<Worker>,
     epoch: u64,
     shared: Option<(u64, Arc<SpikingNetwork>)>,
-    /// The calling thread's own replica cache (it participates in the drain
+    /// The calling thread's own session cache (it participates in the drain
     /// loop just like a pool worker).
-    local: Option<(u64, SpikingNetwork)>,
+    local: Option<(u64, LaneEngine)>,
 }
 
 impl Engine {
@@ -235,7 +246,7 @@ impl Engine {
 
     /// Like [`Engine::evaluate`], but takes the network behind an `Arc`:
     /// consecutive calls with the *same* `Arc` (pointer identity) keep every
-    /// worker's cached replica, so only `reset()` separates the sweeps.
+    /// worker's cached session, so only a reset separates the sweeps.
     ///
     /// # Errors
     ///
@@ -356,16 +367,18 @@ impl Engine {
         self.epoch
     }
 
-    /// The calling thread's replica, re-cloned only on epoch change.
+    /// A cached session, re-cloned from `net` only on epoch change.
     fn replica_for<'a>(
-        cache: &'a mut Option<(u64, SpikingNetwork)>,
+        cache: &'a mut Option<(u64, LaneEngine)>,
         epoch: u64,
         net: &Arc<SpikingNetwork>,
-    ) -> &'a mut SpikingNetwork {
+    ) -> &'a mut LaneEngine {
         if cache.as_ref().is_none_or(|(e, _)| *e != epoch) {
             *cache = None;
         }
-        &mut cache.get_or_insert_with(|| (epoch, (**net).clone())).1
+        &mut cache
+            .get_or_insert_with(|| (epoch, LaneEngine::idle(net)))
+            .1
     }
 
     /// Spawns the pool (thread budget minus the participating caller).
@@ -415,10 +428,10 @@ impl Drop for Engine {
     }
 }
 
-/// A pool worker: caches one network replica across jobs, re-cloning only
-/// when the job's epoch differs from the cached one.
+/// A pool worker: caches one session across jobs, re-cloning only when the
+/// job's epoch differs from the cached one.
 fn worker_loop(rx: &mpsc::Receiver<Arc<Job>>) {
-    let mut replica: Option<(u64, SpikingNetwork)> = None;
+    let mut replica: Option<(u64, LaneEngine)> = None;
     for job in rx.iter() {
         // ordering: Relaxed — claim counter only hands out distinct batch
         // indices; results are published through the slots Mutex, and the
@@ -427,11 +440,11 @@ fn worker_loop(rx: &mpsc::Receiver<Arc<Job>>) {
         if first < job.batch_count {
             tcl_telemetry::propagate_parent(job.parent);
             let _span = tcl_telemetry::span("engine.worker");
-            let net = Engine::replica_for(&mut replica, job.epoch, &job.net);
+            let session = Engine::replica_for(&mut replica, job.epoch, &job.net);
             simd::with_level(job.level, || {
                 par::with_serial(|| {
-                    store(&job, first, run_batch(net, &job, first));
-                    drain(&job, net);
+                    store(&job, first, run_batch(session, &job, first));
+                    drain(&job, session);
                 });
             });
             tcl_telemetry::propagate_parent(None);
@@ -441,7 +454,7 @@ fn worker_loop(rx: &mpsc::Receiver<Arc<Job>>) {
 }
 
 /// Claims and runs batches until the job's counter is exhausted.
-fn drain(job: &Job, net: &mut SpikingNetwork) {
+fn drain(job: &Job, session: &mut LaneEngine) {
     loop {
         // ordering: Relaxed — same claim counter as worker_loop: indices
         // need only be distinct; the slots Mutex publishes the outcomes.
@@ -449,7 +462,7 @@ fn drain(job: &Job, net: &mut SpikingNetwork) {
         if b >= job.batch_count {
             return;
         }
-        store(job, b, run_batch(net, job, b));
+        store(job, b, run_batch(session, job, b));
     }
 }
 
@@ -459,110 +472,82 @@ fn store(job: &Job, batch: usize, outcome: Result<BatchOutcome>) {
     job.slots.lock().expect("engine slots")[batch] = Some(outcome);
 }
 
-/// Gathers rows of `data` along the first dimension.
-fn gather_rows(data: &Tensor, start: usize, end: usize) -> Result<Tensor> {
-    let dims = data.dims();
-    let n = dims[0];
-    if end > n {
-        return Err(TensorError::InvalidArgument {
-            detail: format!("batch range {start}..{end} out of bounds for {n} rows"),
-        });
+/// Presents one mini-batch on a worker's session: one admission of every
+/// row with `max_t` as its budget, steps until every lane has retired, then
+/// the batch's checkpoint tallies. Under [`ExitPolicy::Off`] every lane runs
+/// to `max_t`; under [`ExitPolicy::Adaptive`] the session's stability rule
+/// retires lanes early. A checkpoint reads the live lanes' scores and the
+/// retired lanes' scores frozen at their exit step (the anytime view).
+fn run_batch(session: &mut LaneEngine, job: &Job, batch_index: usize) -> Result<BatchOutcome> {
+    let config = &job.config;
+    let start = batch_index * config.batch_size;
+    let end = (start + config.batch_size).min(job.n);
+    let labels = &job.labels[start..end];
+    let x = gather_lanes(&job.images, &(start..end).collect::<Vec<_>>())?;
+    session.restart(end - start, config.readout, job.policy);
+    if job.policy.is_adaptive() {
+        session.trace_margins(job.max_t);
     }
-    let row = data.len() / n.max(1);
-    let mut out_dims = dims.to_vec();
-    out_dims[0] = end - start;
-    Tensor::from_vec(
-        Shape::new(out_dims),
-        data.data()[start * row..end * row].to_vec(),
-    )
-}
-
-/// Top-1 index and top-1 minus top-2 gap of a score row, with the same tie
-/// rule as [`ops::argmax_rows`] (strict `>`, first index wins). A one-class
-/// row has an infinite margin (there is no runner-up to overtake).
-/// Shared with the lane engine so both early-exit paths retire on the
-/// exact same readout decision.
-pub(crate) fn top2(row: &[f32]) -> (usize, f32) {
-    let mut best = 0usize;
-    let mut best_v = row[0];
-    let mut second = f32::NEG_INFINITY;
-    for (i, &v) in row.iter().enumerate().skip(1) {
-        if v > best_v {
-            second = best_v;
-            best_v = v;
-            best = i;
-        } else if v > second {
-            second = v;
+    // The Poisson stream is seeded from the batch index, not from a shared
+    // RNG, so batches can run in any order (or concurrently) and still draw
+    // the exact impulses the serial sweep would.
+    let rng = match config.input_coding {
+        InputCoding::Analog => None,
+        InputCoding::Poisson { seed } => Some(SeededRng::new(
+            seed ^ (batch_index as u64).wrapping_mul(0x9E37_79B9),
+        )),
+    };
+    // Real coding computes node 0's current once, for the whole batch, and
+    // drops the analog rows; Poisson coding keeps them to draw from.
+    let first = session.admit(&x, job.max_t, rng.is_none())?.0;
+    let mut poisson = rng.map(|rng| (x, rng));
+    let row = |id: LaneId| (id.0 - first) as usize;
+    let mut preds = vec![0; end - start];
+    let mut exit_steps = vec![job.max_t; end - start];
+    let mut exited = vec![false; end - start];
+    let mut correct = vec![0usize; config.checkpoints.len()];
+    // Retired samples whose frozen prediction is right.
+    let mut frozen_hits = 0usize;
+    let mut checkpoint_idx = 0usize;
+    for t in 1..=job.max_t {
+        let retired = match &mut poisson {
+            None => session.step()?,
+            // Impulses are drawn for the FULL batch and then gathered, so
+            // each sample consumes the same stream it would without
+            // compaction: a neighbour's retirement never shifts its draws.
+            Some((x, rng)) => {
+                let lanes: Vec<usize> = session.lane_ids().map(row).collect();
+                session.step_input(&gather_lanes(&poisson_step(x, rng), &lanes)?)?
+            }
+        };
+        for out in retired {
+            let i = row(out.id);
+            preds[i] = out.pred;
+            exit_steps[i] = out.steps;
+            exited[i] = out.early;
+            frozen_hits += usize::from(out.pred == labels[i]);
+        }
+        if config.checkpoints.get(checkpoint_idx) == Some(&t) {
+            let live = session.active_preds();
+            let live_hits = live.iter().filter(|&&(id, p)| p == labels[row(id)]);
+            correct[checkpoint_idx] = frozen_hits + live_hits.count();
+            checkpoint_idx += 1;
+        }
+        if session.active() == 0 {
+            break;
         }
     }
-    if row.len() < 2 {
-        (best, f32::INFINITY)
-    } else {
-        (best, best_v - second)
-    }
-}
-
-fn run_batch(net: &mut SpikingNetwork, job: &Job, batch_index: usize) -> Result<BatchOutcome> {
-    let start = batch_index * job.config.batch_size;
-    let end = (start + job.config.batch_size).min(job.n);
-    match job.policy {
-        ExitPolicy::Off => run_batch_fixed(
-            net,
-            &job.images,
-            &job.labels,
-            &job.config,
-            start,
-            end,
-            batch_index as u64,
-            job.max_t,
-        ),
-        ExitPolicy::Adaptive {
-            patience,
-            min_margin,
-            min_steps,
-        } => run_batch_adaptive(
-            net,
-            &job.images,
-            &job.labels,
-            &job.config,
-            start,
-            end,
-            batch_index as u64,
-            job.max_t,
-            patience,
-            min_margin,
-            min_steps,
-        ),
-    }
-}
-
-/// How a batch's stimulus reaches node 0 on each timestep.
-enum Stimulus {
-    /// Real coding: the stimulus is constant, so node 0's current is
-    /// computed once per batch and read on every step; the analog rows are
-    /// not kept.
-    Driven(Drive<'static>),
-    /// Rate coding: fresh impulses are drawn from the analog batch `x`
-    /// every step, from a per-batch stream (independent of execution
-    /// order).
-    Poisson { x: Tensor, rng: SeededRng },
-}
-
-impl Stimulus {
-    fn new(
-        net: &SpikingNetwork,
-        x: Tensor,
-        input_coding: InputCoding,
-        batch_index: u64,
-    ) -> Result<Self> {
-        Ok(match input_coding {
-            InputCoding::Analog => Stimulus::Driven(net.drive(&x)?.into_owned()),
-            InputCoding::Poisson { seed } => Stimulus::Poisson {
-                x,
-                rng: SeededRng::new(seed ^ batch_index.wrapping_mul(0x9E37_79B9)),
-            },
-        })
-    }
+    // Checkpoints after every lane retired read frozen scores only.
+    correct[checkpoint_idx..].fill(frozen_hits);
+    Ok(BatchOutcome {
+        correct,
+        spikes: session.spikes(),
+        neurons: session.neurons(),
+        preds,
+        exit_steps,
+        exited,
+        margins: session.take_margins(),
+    })
 }
 
 /// Draws one step of signed Bernoulli impulses for the whole batch tensor:
@@ -576,237 +561,6 @@ fn poisson_step(x: &Tensor, rng: &mut SeededRng) -> Tensor {
         } else {
             0.0
         }
-    })
-}
-
-/// Readout scores for the current spike counts (and membrane state).
-fn readout_scores(net: &SpikingNetwork, counts: &Tensor, readout: Readout) -> Result<Tensor> {
-    match readout {
-        Readout::SpikeCount => Ok(counts.clone()),
-        Readout::Membrane => {
-            let thr = net.output_threshold().unwrap_or(1.0);
-            let mut s = counts.scale(thr);
-            if let Some(v) = net.output_potential() {
-                s.add_assign(v)?;
-            }
-            Ok(s)
-        }
-    }
-}
-
-/// Presents one mini-batch for `max_t` timesteps on a fresh (reset) network.
-/// This is the fixed-T reference path: it must stay bitwise identical to
-/// the pre-engine serial evaluator (one [`SpikingNetwork::step`] per
-/// timestep), because the equivalence suite pins [`ExitPolicy::Off`]
-/// results to it. Under real coding node 0's current is computed once
-/// ([`SpikingNetwork::drive`]), which has the per-step recompute's bits.
-#[allow(clippy::too_many_arguments)] // engine worker body; args are the batch slice
-fn run_batch_fixed(
-    net: &mut SpikingNetwork,
-    images: &Tensor,
-    labels: &[usize],
-    config: &SimConfig,
-    start: usize,
-    end: usize,
-    batch_index: u64,
-    max_t: usize,
-) -> Result<BatchOutcome> {
-    // The Poisson stream is seeded from the batch index, not from a shared
-    // RNG, so batches can run in any order (or concurrently) and still draw
-    // the exact impulses the serial sweep would.
-    let x = gather_rows(images, start, end)?;
-    let mut stimulus = Stimulus::new(net, x, config.input_coding, batch_index)?;
-    net.reset();
-    let mut correct = vec![0usize; config.checkpoints.len()];
-    let mut counts: Option<Tensor> = None;
-    let mut checkpoint_idx = 0usize;
-    let mut final_preds: Vec<usize> = Vec::new();
-    for t in 1..=max_t {
-        let spikes = match &mut stimulus {
-            Stimulus::Driven(drive) => net.step_driven(drive)?,
-            Stimulus::Poisson { x, rng } => net.step(&poisson_step(x, rng))?,
-        };
-        match &mut counts {
-            Some(c) => c.add_assign(&spikes)?,
-            None => counts = Some(spikes),
-        }
-        if checkpoint_idx < config.checkpoints.len() && t == config.checkpoints[checkpoint_idx] {
-            // lint: allow(P1) counts is set at t=1 and checkpoints are
-            // validated to start at t >= 1
-            let counts = counts.as_ref().expect("set on first step");
-            let scores = readout_scores(net, counts, config.readout)?;
-            let preds = ops::argmax_rows(&scores)?;
-            correct[checkpoint_idx] += preds
-                .iter()
-                .zip(&labels[start..end])
-                .filter(|(p, l)| p == l)
-                .count();
-            checkpoint_idx += 1;
-            if checkpoint_idx == config.checkpoints.len() {
-                final_preds = preds;
-            }
-        }
-    }
-    Ok(BatchOutcome {
-        correct,
-        spikes: net.total_spikes(),
-        neurons: net.neurons_per_node().iter().sum(),
-        preds: final_preds,
-        exit_steps: vec![max_t; end - start],
-        exited: vec![false; end - start],
-        margins: MarginTrace::default(),
-    })
-}
-
-/// The early-exit path: like [`run_batch_fixed`] but each step computes the
-/// per-sample readout margin, retires samples whose margin has been stable
-/// for `patience` steps, and compacts the batch so retired lanes stop
-/// costing simulation work. Checkpoint scores for retired lanes are frozen
-/// at their exit step.
-#[allow(clippy::too_many_arguments)] // engine worker body; args are the batch slice
-fn run_batch_adaptive(
-    net: &mut SpikingNetwork,
-    images: &Tensor,
-    labels: &[usize],
-    config: &SimConfig,
-    start: usize,
-    end: usize,
-    batch_index: u64,
-    max_t: usize,
-    patience: usize,
-    min_margin: f32,
-    min_steps: usize,
-) -> Result<BatchOutcome> {
-    let b = end - start;
-    let x = gather_rows(images, start, end)?;
-    let mut stimulus = Stimulus::new(net, x, config.input_coding, batch_index)?;
-    net.reset();
-    let mut correct = vec![0usize; config.checkpoints.len()];
-    let mut checkpoint_idx = 0usize;
-    // `active[p]` is the original lane of compacted row `p`.
-    let mut active: Vec<usize> = (0..b).collect();
-    let mut counts: Option<Tensor> = None;
-    let mut frozen: Vec<Option<Vec<f32>>> = vec![None; b];
-    let mut last_top = vec![0usize; b];
-    let mut stable = vec![0usize; b];
-    let mut exit_steps = vec![max_t; b];
-    let mut exited = vec![false; b];
-    let mut margins = MarginTrace::new(max_t);
-    let mut neurons = 0usize;
-    let mut classes = 0usize;
-    for t in 1..=max_t {
-        // Poisson impulses are drawn for the FULL batch and then gathered,
-        // so each sample consumes the same RNG stream it would without
-        // compaction — retirement of a neighbour never shifts its draws.
-        let spikes = match &mut stimulus {
-            Stimulus::Driven(drive) => net.step_driven(drive)?,
-            Stimulus::Poisson { x, rng } => {
-                net.step(&gather_lanes(&poisson_step(x, rng), &active)?)?
-            }
-        };
-        match &mut counts {
-            Some(c) => c.add_assign(&spikes)?,
-            None => counts = Some(spikes),
-        }
-        if t == 1 {
-            neurons = net.neurons_per_node().iter().sum();
-        }
-        let scores = readout_scores(
-            net,
-            // lint: allow(P1) counts is set by the match directly above on
-            // every iteration, including the first
-            counts.as_ref().expect("set on first step"),
-            config.readout,
-        )?;
-        let (_, score_classes) = scores.shape().as_matrix()?;
-        classes = score_classes;
-        // Margin tracking and retirement decisions, per active lane.
-        let mut retiring = false;
-        for (p, &lane) in active.iter().enumerate() {
-            let row = &scores.data()[p * classes..(p + 1) * classes];
-            let (top, margin) = top2(row);
-            margins.record(t - 1, margin);
-            if margin >= min_margin && top == last_top[lane] && stable[lane] > 0 {
-                stable[lane] += 1;
-            } else if margin >= min_margin {
-                stable[lane] = 1;
-            } else {
-                stable[lane] = 0;
-            }
-            last_top[lane] = top;
-            if t >= min_steps && t < max_t && stable[lane] >= patience {
-                frozen[lane] = Some(row.to_vec());
-                exit_steps[lane] = t;
-                exited[lane] = true;
-                retiring = true;
-            }
-        }
-        // Checkpoint accounting over the full batch: frozen rows keep their
-        // exit-step scores (just-retired lanes freeze this step's scores, so
-        // the order of retirement vs checkpointing does not matter).
-        if checkpoint_idx < config.checkpoints.len() && t == config.checkpoints[checkpoint_idx] {
-            let mut full_scores = vec![0f32; b * classes];
-            for (p, &lane) in active.iter().enumerate() {
-                full_scores[lane * classes..(lane + 1) * classes]
-                    .copy_from_slice(&scores.data()[p * classes..(p + 1) * classes]);
-            }
-            for (lane, f) in frozen.iter().enumerate() {
-                if let Some(row) = f {
-                    full_scores[lane * classes..(lane + 1) * classes].copy_from_slice(row);
-                }
-            }
-            let preds = ops::argmax_rows(&Tensor::from_vec([b, classes], full_scores)?)?;
-            correct[checkpoint_idx] += preds
-                .iter()
-                .zip(&labels[start..end])
-                .filter(|(p, l)| p == l)
-                .count();
-            checkpoint_idx += 1;
-        }
-        // Compact retired lanes out of the network, the counts, and node
-        // 0's drive. Survivors keep their exact membrane rows.
-        if retiring {
-            let keep: Vec<usize> = (0..active.len()).filter(|&p| !exited[active[p]]).collect();
-            net.retain_rows(&keep)?;
-            // lint: allow(P1) counts was set earlier this same iteration
-            counts = Some(gather_lanes(counts.as_ref().expect("set above"), &keep)?);
-            if let Stimulus::Driven(drive) = &mut stimulus {
-                *drive = drive.gather(&keep)?;
-            }
-            active = keep.iter().map(|&p| active[p]).collect();
-            if active.is_empty() {
-                break;
-            }
-        }
-    }
-    // Remaining checkpoints after every lane retired: scores are all frozen
-    // and no longer change.
-    while checkpoint_idx < config.checkpoints.len() {
-        let mut full_scores = vec![0f32; b * classes];
-        for (lane, f) in frozen.iter().enumerate() {
-            if let Some(row) = f {
-                full_scores[lane * classes..(lane + 1) * classes].copy_from_slice(row);
-            }
-        }
-        let preds = ops::argmax_rows(&Tensor::from_vec([b, classes], full_scores)?)?;
-        correct[checkpoint_idx] += preds
-            .iter()
-            .zip(&labels[start..end])
-            .filter(|(p, l)| p == l)
-            .count();
-        checkpoint_idx += 1;
-    }
-    // Predictions: `last_top` already holds the top-1 at the last step each
-    // lane was scored (its exit step, or `max_t` if it never retired), with
-    // the same tie rule as `argmax_rows`.
-    Ok(BatchOutcome {
-        correct,
-        spikes: net.total_spikes(),
-        neurons,
-        preds: last_top,
-        exit_steps,
-        exited,
-        margins,
     })
 }
 

@@ -1,38 +1,39 @@
-//! Lane-oriented submit/poll inference: the continuous-batching substrate.
+//! The stepping loop: lanes admitted, stepped and retired.
 //!
-//! [`Engine`](crate::Engine) is a *batch-call* API: one call sweeps a whole
-//! dataset and returns when every sample finished. A serving workload is the
-//! opposite shape — requests arrive one at a time, at unpredictable moments,
-//! and each wants an answer as soon as *its own* evidence is stable, not when
-//! the batch is done. [`LaneEngine`] closes that gap by exposing the engine's
-//! early-exit machinery as an open timestep loop:
+//! [`LaneEngine`] is the simulator's one batch-stepping loop. A **lane** is
+//! one row of the running batch, and two callers drive it:
 //!
-//! * [`LaneEngine::submit`] admits one sample into a free **lane** (a row of
-//!   the running batch). Admission computes the sample's node-0 current
-//!   once, alone ([`SpikingNetwork::drive`]), and appends a zero membrane
-//!   row to every neuron bank ([`SpikingNetwork::grow_rows`]) — bit-for-bit
-//!   the state of a freshly reset network — so a lane admitted at global
-//!   step 512 simulates exactly as if it had been presented alone at step 1.
-//! * [`LaneEngine::step`] advances every active lane one timestep and returns
-//!   the lanes that **retired** this step: either their readout margin has
-//!   been stable for `patience` steps (early exit, same rule as
-//!   [`ExitPolicy::Adaptive`]) or they exhausted their per-lane step budget
-//!   (the deadline mapped onto the exit policy by the caller).
-//! * Retired lanes are compacted out ([`SpikingNetwork::retain_rows`]), so
-//!   freed capacity is immediately available to the next `submit` — this is
-//!   what makes continuous batching pay: early-exited rows hand their lane to
-//!   a waiting request mid-loop instead of idling until the batch drains.
+//! * a serving loop admits samples one at a time, at unpredictable moments,
+//!   with [`LaneEngine::submit`], and steps the open loop with
+//!   [`LaneEngine::step`], answering each sample as soon as *its own*
+//!   evidence is stable;
+//! * [`Engine`](crate::Engine)'s workers admit a whole mini-batch at once
+//!   and step until every lane has retired, reading checkpoint accuracies
+//!   between steps.
 //!
-//! Because every kernel computes batch rows independently (the invariant the
-//! engine's compaction already relies on), a lane's trajectory — scores,
-//! margins, exit step — is bitwise identical whatever its batchmates are.
-//! The `lane_engine_matches_batch_engine` test pins this against
-//! [`Engine::evaluate`], and the serving crate's simulation suite pins it
-//! across staggered admission orders.
+//! Admission computes the admitted rows' node-0 current once
+//! ([`SpikingNetwork::drive`]) and appends a zero membrane row per lane to
+//! every neuron bank ([`SpikingNetwork::grow_rows`]) — bit-for-bit the
+//! state of a freshly reset network — so a lane admitted at global step 512
+//! simulates exactly as if it had been presented alone at step 1. Each step
+//! advances every active lane and retires the lanes whose readout margin
+//! has been stable for `patience` steps (early exit, [`ExitPolicy::Adaptive`])
+//! or that exhausted their step budget. Retired lanes are compacted out in
+//! place ([`SpikingNetwork::retain_rows`]), so their capacity is free for
+//! the next admission mid-loop instead of idling until the batch drains.
+//!
+//! Because every kernel computes batch rows independently (the invariant
+//! compaction relies on), a lane's trajectory — scores, margins, exit step —
+//! is bitwise identical whatever its batchmates are. The
+//! `lane_engine_matches_batch_engine` test pins submitted lanes against
+//! [`Engine::evaluate`](crate::Engine::evaluate), and the serving crate's
+//! simulation suite pins them across staggered admission orders.
 
-use crate::engine::{top2, ExitPolicy};
+use crate::engine::ExitPolicy;
 use crate::network::{Drive, SpikingNetwork};
+use crate::node::SpikingNode;
 use crate::sim::Readout;
+use crate::trace::MarginTrace;
 use tcl_tensor::{Result, Shape, Tensor, TensorError};
 
 /// Identifier of a submitted sample, unique within one [`LaneEngine`].
@@ -60,7 +61,7 @@ pub struct LaneOutput {
 
 /// One active lane's bookkeeping (indexes into the compacted batch are
 /// implicit: `lanes[p]` owns batch row `p`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Lane {
     id: LaneId,
     /// Timesteps simulated so far for this lane.
@@ -87,11 +88,12 @@ pub struct LaneEngine {
     policy: ExitPolicy,
     capacity: usize,
     lanes: Vec<Lane>,
-    /// Sample dims without the batch dimension; fixed by the first submit.
+    /// Sample dims without the batch dimension; fixed by the first admission.
     sample_dims: Option<Vec<usize>>,
     /// Node 0's drive for the active lanes, one row per lane: set by the
-    /// first submit, grown by each submit and gathered by each compaction,
-    /// so a step reads it in place.
+    /// first admission, grown by each admission and gathered by each
+    /// compaction, so a step reads it in place. `None` for lanes admitted
+    /// without a drive, whose stimulus comes with each step.
     stimulus: Option<Drive<'static>>,
     /// Accumulated output spike counts, `lanes.len() × classes` row-major.
     counts: Vec<f32>,
@@ -100,6 +102,10 @@ pub struct LaneEngine {
     next_id: u64,
     engine_steps: u64,
     lane_steps: u64,
+    /// Neurons of the widest batch stepped since the last restart.
+    widest: usize,
+    /// The active lanes' margins per lane age, when recording.
+    margins: Option<MarginTrace>,
 }
 
 impl LaneEngine {
@@ -121,13 +127,19 @@ impl LaneEngine {
                 detail: "lane engine: capacity must be at least 1".into(),
             });
         }
-        let mut net = net.clone();
-        net.reset();
-        Ok(LaneEngine {
-            net,
-            readout,
-            policy,
-            capacity,
+        let mut session = Self::idle(net);
+        session.restart(capacity, readout, policy);
+        Ok(session)
+    }
+
+    /// A session over a clone of `net` with no lane capacity until
+    /// [`LaneEngine::restart`] gives it some.
+    pub(crate) fn idle(net: &SpikingNetwork) -> Self {
+        LaneEngine {
+            net: net.clone(),
+            readout: Readout::default(),
+            policy: ExitPolicy::Off,
+            capacity: 0,
             lanes: Vec::new(),
             sample_dims: None,
             stimulus: None,
@@ -136,7 +148,26 @@ impl LaneEngine {
             next_id: 0,
             engine_steps: 0,
             lane_steps: 0,
-        })
+            widest: 0,
+            margins: None,
+        }
+    }
+
+    /// Empties the session for a new presentation: a reset network, no
+    /// lanes and no drive, under the given capacity, readout and (validated)
+    /// policy. The spike, neuron and margin records start over; lane ids
+    /// and the step totals do not.
+    pub(crate) fn restart(&mut self, capacity: usize, readout: Readout, policy: ExitPolicy) {
+        self.net.reset();
+        self.lanes.clear();
+        self.sample_dims = None;
+        self.stimulus = None;
+        self.counts.clear();
+        self.widest = 0;
+        self.margins = None;
+        self.capacity = capacity;
+        self.readout = readout;
+        self.policy = policy;
     }
 
     /// Maximum concurrent lanes.
@@ -180,9 +211,38 @@ impl LaneEngine {
     /// shape mismatch with previously admitted samples, or when node 0
     /// rejects the sample. A rejected sample leaves the session unchanged.
     pub fn submit(&mut self, sample: &Tensor, budget: usize) -> Result<LaneId> {
-        if self.lanes.len() >= self.capacity {
+        let dims = match sample.dims() {
+            [1, rest @ ..] if !rest.is_empty() => rest,
+            dims => dims,
+        };
+        let one: Vec<usize> = std::iter::once(1).chain(dims.iter().copied()).collect();
+        self.admit(&sample.reshape(Shape::new(one))?, budget, true)
+    }
+
+    /// Admits every row of `batch` (`[rows, ...]`) as a lane with step
+    /// budget `budget`; the lanes take consecutive ids, in row order, from
+    /// the one returned.
+    ///
+    /// With `driven`, node 0's current for all rows comes from one
+    /// [`SpikingNetwork::drive`] call. For a linear node 0 at `Avx2` a row's
+    /// bits depend on its position in the batch, so a batch admitted whole
+    /// keeps its full-batch bits and a submitted sample its solo ones.
+    /// Without `driven` the lanes get no drive, and each step's stimulus
+    /// comes through [`LaneEngine::step_input`].
+    ///
+    /// # Errors
+    ///
+    /// As [`LaneEngine::submit`]; a rejected batch leaves the session
+    /// unchanged.
+    pub(crate) fn admit(&mut self, batch: &Tensor, budget: usize, driven: bool) -> Result<LaneId> {
+        let (&rows, dims) = batch.dims().split_first().unwrap_or((&0, &[]));
+        if self.lanes.len() + rows > self.capacity {
             return Err(TensorError::InvalidArgument {
-                detail: format!("lane engine: all {} lanes occupied", self.capacity),
+                detail: format!(
+                    "lane engine: {rows} lanes requested, {} of {} free",
+                    self.free_lanes(),
+                    self.capacity
+                ),
             });
         }
         if budget == 0 {
@@ -190,45 +250,35 @@ impl LaneEngine {
                 detail: "lane engine: step budget must be at least 1".into(),
             });
         }
-        let dims: Vec<usize> = match sample.dims() {
-            [1, rest @ ..] if !rest.is_empty() => rest.to_vec(),
-            dims => dims.to_vec(),
-        };
-        if let Some(expected) = self.sample_dims.as_ref().filter(|e| **e != dims) {
+        if let Some(expected) = self.sample_dims.as_ref().filter(|e| e.as_slice() != dims) {
             return Err(TensorError::InvalidArgument {
                 detail: format!(
                     "lane engine: sample dims {dims:?} do not match session dims {expected:?}"
                 ),
             });
         }
-        // The lane's drive is computed from its sample alone, so its bits
-        // are those of a solo presentation whatever its batchmates are.
-        let mut one = Vec::with_capacity(dims.len() + 1);
-        one.push(1);
-        one.extend_from_slice(&dims);
-        let one = sample.reshape(Shape::new(one))?;
-        let drive = self.net.drive(&one)?;
-        // Admission: one drive row, one zero membrane row per bank, one
-        // zero count row (when the output width is already known).
-        match &mut self.stimulus {
-            Some(stimulus) => stimulus.append(&drive)?,
-            None => self.stimulus = Some(drive.into_owned()),
+        // Node 0 sees the rows before any lane state changes.
+        if driven {
+            let drive = self.net.drive(batch)?;
+            match &mut self.stimulus {
+                Some(stimulus) => stimulus.append(&drive)?,
+                None => self.stimulus = Some(drive.into_owned()),
+            }
         }
-        self.sample_dims = Some(dims);
-        self.net.grow_rows(1);
-        if self.classes > 0 {
-            self.counts.resize(self.counts.len() + self.classes, 0.0);
-        }
-        let id = LaneId(self.next_id);
-        self.next_id += 1;
-        self.lanes.push(Lane {
-            id,
+        self.sample_dims = Some(dims.to_vec());
+        self.net.grow_rows(rows);
+        self.counts
+            .resize(self.counts.len() + rows * self.classes, 0.0);
+        let first = self.next_id;
+        self.next_id += rows as u64;
+        self.lanes.extend((first..self.next_id).map(|id| Lane {
+            id: LaneId(id),
             age: 0,
             budget,
             last_top: 0,
             stable: 0,
-        });
-        Ok(id)
+        }));
+        Ok(LaneId(first))
     }
 
     /// Advances every active lane one timestep; returns the lanes that
@@ -240,15 +290,29 @@ impl LaneEngine {
     /// Propagates network shape errors. On error the session should be
     /// considered poisoned (the serving layer rebuilds it and re-submits).
     pub fn step(&mut self) -> Result<Vec<LaneOutput>> {
-        if self.lanes.is_empty() {
-            return Ok(Vec::new());
-        }
-        let active = self.lanes.len();
-        // Set by the submit that admitted the first active lane.
-        let Some(stimulus) = &self.stimulus else {
+        // Set by the admission of the first active lane.
+        let Some(stimulus) = self.stimulus.as_ref().filter(|_| !self.lanes.is_empty()) else {
             return Ok(Vec::new());
         };
         let spikes = self.net.step_driven(stimulus)?;
+        self.advance(&spikes)
+    }
+
+    /// [`LaneEngine::step`] on `input`, the active lanes' stimulus for this
+    /// step in lane order, instead of the admitted drive: Poisson coding
+    /// draws fresh impulses every step.
+    pub(crate) fn step_input(&mut self, input: &Tensor) -> Result<Vec<LaneOutput>> {
+        if self.lanes.is_empty() {
+            return Ok(Vec::new());
+        }
+        let spikes = self.net.step(input)?;
+        self.advance(&spikes)
+    }
+
+    /// Adds one step's output spikes to the lanes' counts, applies the
+    /// retirement rule and compacts the retired lanes out.
+    fn advance(&mut self, spikes: &Tensor) -> Result<Vec<LaneOutput>> {
+        let active = self.lanes.len();
         let (_, classes) = spikes.shape().as_matrix()?;
         if self.classes == 0 {
             self.classes = classes;
@@ -259,6 +323,8 @@ impl LaneEngine {
         }
         self.engine_steps += 1;
         self.lane_steps += active as u64;
+        let neurons = self.net.nodes().iter().map(SpikingNode::neuron_count).sum();
+        self.widest = self.widest.max(neurons);
 
         let (adaptive, patience, min_margin, min_steps) = match self.policy {
             ExitPolicy::Off => (false, 0, 0.0, 0),
@@ -271,21 +337,18 @@ impl LaneEngine {
         // Score every step under the adaptive policy (the margin machinery
         // needs it); under Off only when some lane completes its budget.
         let budget_due = self.lanes.iter().any(|l| l.age + 1 >= l.budget);
-        let scores = if adaptive || budget_due {
-            Some(self.scores())
-        } else {
-            None
-        };
+        let scores = (adaptive || budget_due).then(|| self.scores());
         let mut retired = Vec::new();
         let mut keep = Vec::with_capacity(active);
         for (p, lane) in self.lanes.iter_mut().enumerate() {
             lane.age += 1;
             let t = lane.age;
             if let Some(scores) = &scores {
-                let row = &scores[p * classes..(p + 1) * classes];
-                let (top, margin) = top2(row);
-                // Same stability update as the batch engine's adaptive path:
-                // the streak continues only while the argmax holds and the
+                let (top, margin) = top2(&scores[p * classes..(p + 1) * classes]);
+                if let Some(trace) = &mut self.margins {
+                    trace.record(t - 1, margin);
+                }
+                // The streak continues only while the argmax holds and the
                 // margin clears the bar.
                 if margin >= min_margin && top == lane.last_top && lane.stable > 0 {
                     lane.stable += 1;
@@ -297,10 +360,9 @@ impl LaneEngine {
                 lane.last_top = top;
             }
             let early = adaptive && t >= min_steps && t < lane.budget && lane.stable >= patience;
-            let done = early || t >= lane.budget;
-            if done {
-                // lint: allow(P1) done implies budget_due or an adaptive
-                // retirement, both of which force scores to be computed
+            if early || t >= lane.budget {
+                // lint: allow(P1) retiring implies budget_due or an adaptive
+                // policy, both of which force scores to be computed
                 let scores = scores.as_ref().expect("scored on retirement steps");
                 let row = scores[p * classes..(p + 1) * classes].to_vec();
                 let (pred, margin) = top2(&row);
@@ -316,21 +378,14 @@ impl LaneEngine {
                 keep.push(p);
             }
         }
-        if retired.len() != active - keep.len() {
-            // Defensive: the two partitions above must agree.
-            return Err(TensorError::InvalidArgument {
-                detail: "lane engine: retirement bookkeeping diverged".into(),
-            });
-        }
         if !retired.is_empty() {
             self.compact(&keep)?;
         }
         Ok(retired)
     }
 
-    /// Readout scores for all active lanes, `active × classes` row-major.
-    /// Elementwise identical to the batch engine's `readout_scores`
-    /// (`counts` for spike-count readout, `counts·V_thr + V` for membrane).
+    /// Readout scores for all active lanes, `active × classes` row-major:
+    /// `counts` for spike-count readout, `counts·V_thr + V` for membrane.
     fn scores(&self) -> Vec<f32> {
         match self.readout {
             Readout::SpikeCount => self.counts.clone(),
@@ -347,24 +402,84 @@ impl LaneEngine {
         }
     }
 
-    /// Drops retired rows from the network, the drive, the counts, and
-    /// the lane table (batch row `p` stays aligned with `lanes[p]`).
+    /// Each active lane's id and top-1 class under the current readout, in
+    /// lane order: an anytime read between steps.
+    pub(crate) fn active_preds(&self) -> Vec<(LaneId, usize)> {
+        let scores = self.scores();
+        self.lanes
+            .iter()
+            .zip(scores.chunks_exact(self.classes.max(1)))
+            .map(|(lane, row)| (lane.id, top2(row).0))
+            .collect()
+    }
+
+    /// The active lanes' ids, in lane (batch row) order.
+    pub(crate) fn lane_ids(&self) -> impl Iterator<Item = LaneId> + '_ {
+        self.lanes.iter().map(|lane| lane.id)
+    }
+
+    /// Spikes emitted since the last restart.
+    pub(crate) fn spikes(&self) -> u64 {
+        self.net.total_spikes()
+    }
+
+    /// Neurons of the widest batch stepped since the last restart: the
+    /// whole admitted batch, counted on its first step.
+    pub(crate) fn neurons(&self) -> usize {
+        self.widest
+    }
+
+    /// Records every scored lane's margin from now on, at index `age − 1`
+    /// of a trace of `steps` steps (later ages are dropped).
+    pub(crate) fn trace_margins(&mut self, steps: usize) {
+        self.margins = Some(MarginTrace::new(steps));
+    }
+
+    /// The recorded margins (empty when not recording); recording stops.
+    pub(crate) fn take_margins(&mut self) -> MarginTrace {
+        self.margins.take().unwrap_or_default()
+    }
+
+    /// Keeps rows `keep` (ascending) of the network, the drive, the counts
+    /// and the lane table, moving each down in place: batch row `p` stays
+    /// aligned with `lanes[p]`.
     fn compact(&mut self, keep: &[usize]) -> Result<()> {
         self.net.retain_rows(keep)?;
-        if let Some(stimulus) = &self.stimulus {
-            self.stimulus = Some(stimulus.gather(keep)?);
+        if let Some(stimulus) = &mut self.stimulus {
+            *stimulus = stimulus.gather(keep)?;
         }
-        let mut counts = Vec::with_capacity(keep.len() * self.classes);
-        for &p in keep {
-            counts.extend_from_slice(&self.counts[p * self.classes..(p + 1) * self.classes]);
+        let c = self.classes;
+        for (dst, &src) in keep.iter().enumerate() {
+            self.lanes[dst] = self.lanes[src];
+            self.counts.copy_within(src * c..(src + 1) * c, dst * c);
         }
-        self.counts = counts;
-        let mut lanes = Vec::with_capacity(keep.len());
-        for &p in keep {
-            lanes.push(self.lanes[p].clone());
-        }
-        self.lanes = lanes;
+        self.lanes.truncate(keep.len());
+        self.counts.truncate(keep.len() * c);
         Ok(())
+    }
+}
+
+/// Top-1 index and top-1 minus top-2 gap of a score row, with the same tie
+/// rule as [`tcl_tensor::ops::argmax_rows`] (strict `>`, first index wins).
+/// A one-class row has an infinite margin (there is no runner-up to
+/// overtake).
+pub(crate) fn top2(row: &[f32]) -> (usize, f32) {
+    let mut best = 0usize;
+    let mut best_v = row[0];
+    let mut second = f32::NEG_INFINITY;
+    for (i, &v) in row.iter().enumerate().skip(1) {
+        if v > best_v {
+            second = best_v;
+            best_v = v;
+            best = i;
+        } else if v > second {
+            second = v;
+        }
+    }
+    if row.len() < 2 {
+        (best, f32::INFINITY)
+    } else {
+        (best, best_v - second)
     }
 }
 

@@ -16,7 +16,9 @@
 //! Figure 3C). The `tcl-core` crate produces [`SpikingNetwork`]s from
 //! trained ANNs; [`evaluate`] sweeps them over latency checkpoints, and the
 //! persistent [`Engine`] amortizes worker setup across repeated sweeps and
-//! adds per-sample early exit ([`ExitPolicy::Adaptive`]).
+//! adds per-sample early exit ([`ExitPolicy::Adaptive`]). Both step their
+//! batches on [`LaneEngine`], the one stepping loop, which also serves
+//! samples one at a time.
 //!
 //! ## Example: rate coding in one layer
 //!

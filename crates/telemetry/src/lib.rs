@@ -167,6 +167,13 @@ pub mod test_support {
 
     /// Runs `f` with tracing + metrics force-enabled and the sink captured
     /// in memory; returns `f`'s result and the captured JSONL lines.
+    ///
+    /// The flags are process-wide: while `f` runs, every thread of the test
+    /// binary records metrics, including tests that do not hold the lock.
+    /// An assertion on a global counter (`snn.spikes`, `snn.synops`, ...)
+    /// is therefore sound only in a test binary where every test that
+    /// steps neurons or synapses runs under `with_captured` or
+    /// [`with_disabled`].
     pub fn with_captured<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
         let _guard = lock();
         // ordering: SeqCst — test-only toggles; total order keeps the
