@@ -186,6 +186,31 @@ done
 echo "==> checkpoint/resume crash-safety suite (bit-exact kill-and-resume)"
 cargo test --release -q -p tcl-nn --test checkpoint_resume
 
+echo "==> model cache round trip (a finished checkpoint store is the cache)"
+# A bench binary trains into a fresh model cache; a second run must resume
+# the finished store at its last epoch (no epoch trained, no snapshot
+# written) and print byte-identical results.
+cache_dir=target/ci-model-cache
+rm -rf "$cache_dir" target/ci-cache-results-cold target/ci-cache-results-warm
+cold_out=$(TCL_SCALE=quick TCL_MODEL_DIR="$cache_dir" TCL_RESULTS_DIR=target/ci-cache-results-cold \
+  cargo run --release -q -p tcl-bench --bin reset_mode 2>&1)
+warm_out=$(TCL_SCALE=quick TCL_MODEL_DIR="$cache_dir" TCL_RESULTS_DIR=target/ci-cache-results-warm \
+  cargo run --release -q -p tcl-bench --bin reset_mode 2>&1)
+if ! printf '%s\n' "$cold_out" | grep -q '\[ckpt\] wrote'; then
+  echo "FAIL: the cold run wrote no snapshot into $cache_dir" >&2
+  printf '%s\n' "$cold_out" >&2
+  exit 1
+fi
+if printf '%s\n' "$warm_out" | grep -E '\[trainer\] epoch|\[ckpt\] wrote' >&2; then
+  echo "FAIL: the warm run trained or wrote a snapshot instead of using the cache" >&2
+  exit 1
+fi
+if ! diff target/ci-cache-results-cold/reset_mode.csv target/ci-cache-results-warm/reset_mode.csv >&2; then
+  echo "FAIL: cached model gave different results from the freshly trained one" >&2
+  exit 1
+fi
+echo "model cache OK (warm run trained nothing, wrote nothing, same CSV)"
+
 echo "==> tcl-serve: load-simulation + fault-injection suites (SIMD x thread matrix)"
 # The serving core is virtual-clock deterministic: the sim-load suite pins
 # completion-order fingerprints that must be byte-identical across worker

@@ -7,7 +7,8 @@
 //!   for fidelity without changing the experiment's structure;
 //! * the two dataset presets standing in for CIFAR-10 and ImageNet;
 //! * a trained-model cache (`TCL_MODEL_DIR`, default `target/tcl-models`)
-//!   so Table 1, Figure 1, and the ablations reuse the same checkpoints;
+//!   so Table 1, Figure 1, and the ablations reuse the same trained
+//!   networks: each model's training checkpoint store is its cache entry;
 //! * plain-text table formatting and CSV output under `results/`.
 
 #![warn(missing_docs)]
@@ -17,7 +18,7 @@ use std::fs;
 use std::path::PathBuf;
 use tcl_data::{SynthSpec, SynthVision};
 use tcl_models::{Architecture, ModelConfig};
-use tcl_nn::{load_network, save_network, Network, TrainConfig};
+use tcl_nn::{Network, TrainConfig};
 use tcl_tensor::SeededRng;
 
 /// Master seed shared by every harness so experiments are reproducible and
@@ -188,14 +189,17 @@ pub fn results_dir() -> PathBuf {
 
 /// Trains (or loads from cache) one model.
 ///
-/// The cache key encodes everything that affects the trained weights; rerun
-/// with a fresh `TCL_MODEL_DIR` to retrain from scratch.
+/// The cache key encodes everything that affects the trained weights,
+/// including the training-config fingerprint (and with it the SIMD
+/// trajectory class); rerun with a fresh `TCL_MODEL_DIR` to retrain from
+/// scratch.
 ///
-/// Training is crash-safe: full state (parameters, momentum, RNG streams)
-/// is checkpointed under `<cache>/<key>.ckpt/` every `TCL_CKPT_EVERY`
-/// epochs (default 5), and a killed run resumes bit-exactly from the
-/// newest valid snapshot on the next invocation. The checkpoint directory
-/// is cleared once the finished model lands in the cache.
+/// The cache entry is the model's training checkpoint store,
+/// `<cache>/<key>.ckpt/`: full state (parameters, momentum, RNG streams)
+/// is snapshotted every `TCL_CKPT_EVERY` epochs (default 5) and at the end
+/// of training. A killed run resumes bit-exactly from the newest valid
+/// snapshot on the next invocation, and a finished one resumes at its last
+/// epoch, so it trains nothing and returns the stored network.
 ///
 /// # Panics
 ///
@@ -219,18 +223,6 @@ pub fn train_or_load(
         scale.name(),
         MASTER_SEED,
     );
-    let dir = model_cache_dir();
-    let path = dir.join(format!("{key}.tcln"));
-    if let Ok(mut file) = fs::File::open(&path) {
-        if let Ok(net) = load_network(&mut file) {
-            tcl_telemetry::log("cache", &format!("loaded {}", path.display()));
-            return net;
-        }
-        tcl_telemetry::log(
-            "cache",
-            &format!("{} unreadable; retraining", path.display()),
-        );
-    }
     let (c, h, w) = data.train.image_shape();
     let cfg = ModelConfig::new((c, h, w), data.train.classes())
         .with_base_width(8)
@@ -244,30 +236,21 @@ pub fn train_or_load(
         ..TrainConfig::standard(scale.epochs(), 32, 0.05, &scale.milestones())
             .expect("valid schedule")
     };
-    tcl_telemetry::log(
-        "train",
-        &format!(
-            "{key}: {} epochs on {} images",
-            scale.epochs(),
-            data.train.len()
-        ),
-    );
-    let ckpt_dir = dir.join(format!("{key}.ckpt"));
+    // The training fingerprint includes the SIMD trajectory class, which
+    // the store refuses to resume across: each class gets its own entry.
+    let store = model_cache_dir().join(format!(
+        "{key}-{:016x}.ckpt",
+        tcl_nn::config_fingerprint(&train_cfg)
+    ));
     tcl_core::train_resumable(
         &mut net,
         data.train.images(),
         data.train.labels(),
         Some((data.test.images(), data.test.labels())),
         &train_cfg,
-        Some(&ckpt_dir),
+        Some(&store),
     )
     .expect("training succeeds on preset data");
-    fs::create_dir_all(&dir).expect("create model cache dir");
-    let mut file = fs::File::create(&path).expect("create model cache file");
-    save_network(&mut file, &net).expect("serialize trained model");
-    tcl_telemetry::log("cache", &format!("saved {}", path.display()));
-    // The finished model is cached; its training checkpoints are now stale.
-    tcl_nn::checkpoint::clear_store(&ckpt_dir);
     net
 }
 

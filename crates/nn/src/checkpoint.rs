@@ -8,19 +8,19 @@
 //! run restarts **bit-exactly**: N epochs straight and N/2 + resume + N/2
 //! produce identical weights at 0 ulp.
 //!
-//! ## Container format (v2)
+//! ## Container format (v3)
 //!
 //! A checkpoint file is a sectioned little-endian container:
 //!
 //! ```text
-//! magic "TCLK" | version u32 = 2 | section count u32
+//! magic "TCLK" | version u32 = 3 | section count u32
 //! section: tag u8 | payload length u64 | payload CRC32 u32 | payload
 //! ```
 //!
 //! | tag | section  | payload                                              |
 //! |-----|----------|------------------------------------------------------|
 //! | 1   | META     | config fingerprint u64, completed-epoch cursor u64   |
-//! | 2   | NETWORK  | the v2 model codec ([`crate::save_network`])         |
+//! | 2   | NETWORK  | layer count u32, then one tagged record per layer    |
 //! | 3   | MOMENTUM | one tensor per parameter, in `visit_params` order    |
 //! | 4   | RNG      | the shuffle RNG's four xoshiro256++ state words      |
 //! | 5   | REPORT   | per-epoch statistics accumulated so far              |
@@ -39,8 +39,8 @@
 
 use crate::error::{NnError, Result};
 use crate::io::{
-    io_err, load_network, read_tensor, read_u32, read_u64, read_u8, save_network, write_f32,
-    write_tensor, write_u32, write_u64, write_u8,
+    load_network, read_f32, read_tensor, read_u32, read_u64, read_u8, save_network, take,
+    write_f32, write_tensor, write_u32, write_u64, write_u8,
 };
 use crate::network::Network;
 use crate::trainer::{EpochStats, TrainConfig, TrainReport};
@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 use tcl_tensor::SeededRng;
 
 const MAGIC: &[u8; 4] = b"TCLK";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 const SEC_META: u8 = 1;
 const SEC_NETWORK: u8 = 2;
@@ -179,87 +179,91 @@ impl TrainCheckpoint {
         }
     }
 
-    /// Serializes the snapshot into the sectioned v2 container.
+    /// Serializes the snapshot into the sectioned v3 container.
     ///
     /// # Errors
     ///
-    /// Returns a checkpoint error wrapping any serialization failure.
+    /// None at present: every section is encoded into memory.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tcl_nn::layers::Relu;
+    /// use tcl_nn::{Layer, Network, TrainCheckpoint, TrainConfig, TrainReport};
+    /// use tcl_tensor::SeededRng;
+    ///
+    /// let net = Network::new(vec![Layer::Relu(Relu::new())]);
+    /// let config = TrainConfig::standard(1, 8, 0.05, &[])?;
+    /// let report = TrainReport { epochs: Vec::new() };
+    /// let ckpt = TrainCheckpoint::capture(&net, &SeededRng::new(0), &report, &config, 0);
+    /// let back = TrainCheckpoint::from_bytes(&ckpt.to_bytes()?)?;
+    /// assert_eq!(back.network.len(), 1);
+    /// # Ok::<(), tcl_nn::NnError>(())
+    /// ```
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let mut sections: Vec<(u8, Vec<u8>)> = Vec::new();
-
         let mut meta = Vec::new();
-        write_u64(&mut meta, self.config_fingerprint)?;
-        write_u64(&mut meta, self.epochs_done as u64)?;
-        sections.push((SEC_META, meta));
+        write_u64(&mut meta, self.config_fingerprint);
+        write_u64(&mut meta, self.epochs_done as u64);
 
         let mut network = Vec::new();
-        save_network(&mut network, &self.network)?;
-        sections.push((SEC_NETWORK, network));
+        save_network(&mut network, &self.network);
 
         let mut momentum = Vec::new();
         let mut buffers: Vec<tcl_tensor::Tensor> = Vec::new();
         let mut net = self.network.clone();
         net.visit_params(&mut |p| buffers.push(p.momentum.clone()));
-        write_u32(&mut momentum, buffers.len() as u32)?;
+        write_u32(&mut momentum, buffers.len() as u32);
         for t in &buffers {
-            write_tensor(&mut momentum, t)?;
+            write_tensor(&mut momentum, t);
         }
-        sections.push((SEC_MOMENTUM, momentum));
 
         let mut rng = Vec::new();
         for w in self.rng_state {
-            write_u64(&mut rng, w)?;
+            write_u64(&mut rng, w);
         }
-        sections.push((SEC_RNG, rng));
 
         let mut report = Vec::new();
-        write_u32(&mut report, self.report.epochs.len() as u32)?;
+        write_u32(&mut report, self.report.epochs.len() as u32);
         for e in &self.report.epochs {
-            write_u64(&mut report, e.epoch as u64)?;
-            write_f32(&mut report, e.train_loss)?;
-            write_f32(&mut report, e.train_accuracy)?;
-            match e.eval_accuracy {
-                Some(acc) => {
-                    write_u8(&mut report, 1)?;
-                    write_f32(&mut report, acc)?;
-                }
-                None => {
-                    write_u8(&mut report, 0)?;
-                    write_f32(&mut report, 0.0)?;
-                }
-            }
-            write_f32(&mut report, e.learning_rate)?;
+            write_u64(&mut report, e.epoch as u64);
+            write_f32(&mut report, e.train_loss);
+            write_f32(&mut report, e.train_accuracy);
+            write_u8(&mut report, e.eval_accuracy.is_some() as u8);
+            write_f32(&mut report, e.eval_accuracy.unwrap_or(0.0));
+            write_f32(&mut report, e.learning_rate);
         }
-        sections.push((SEC_REPORT, report));
 
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        write_u32(&mut out, VERSION)?;
-        write_u32(&mut out, sections.len() as u32)?;
+        let sections = [
+            (SEC_META, meta),
+            (SEC_NETWORK, network),
+            (SEC_MOMENTUM, momentum),
+            (SEC_RNG, rng),
+            (SEC_REPORT, report),
+        ];
+        let mut out = MAGIC.to_vec();
+        write_u32(&mut out, VERSION);
+        write_u32(&mut out, sections.len() as u32);
         for (tag, payload) in &sections {
-            write_u8(&mut out, *tag)?;
-            write_u64(&mut out, payload.len() as u64)?;
-            write_u32(&mut out, crc32(payload))?;
+            write_u8(&mut out, *tag);
+            write_u64(&mut out, payload.len() as u64);
+            write_u32(&mut out, crc32(payload));
             out.extend_from_slice(payload);
         }
         Ok(out)
     }
 
-    /// Parses and validates a v2 container.
+    /// Parses and validates a v3 container.
     ///
     /// Never panics on malformed input: every defect — truncation, bad
     /// magic, unknown tags, out-of-bounds lengths, CRC mismatches,
-    /// duplicate or missing sections — is a structured
-    /// [`NnError::Checkpoint`].
+    /// duplicate or missing sections — is a structured error.
     ///
     /// # Errors
     ///
     /// See above.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut r = bytes;
-        let mut magic = [0u8; 4];
-        std::io::Read::read_exact(&mut r, &mut magic).map_err(io_err)?;
-        if &magic != MAGIC {
+        if take(&mut r, MAGIC.len())? != MAGIC {
             return Err(ckpt_err("bad checkpoint magic"));
         }
         let version = read_u32(&mut r)?;
@@ -283,14 +287,7 @@ impl TrainCheckpoint {
             let tag = read_u8(&mut r)?;
             let len = read_u64(&mut r)? as usize;
             let expected_crc = read_u32(&mut r)?;
-            if len > r.len() {
-                return Err(ckpt_err(format!(
-                    "section {tag} claims {len} bytes but only {} remain",
-                    r.len()
-                )));
-            }
-            let (payload, rest) = r.split_at(len);
-            r = rest;
+            let payload = take(&mut r, len)?;
             let actual_crc = crc32(payload);
             if actual_crc != expected_crc {
                 return Err(ckpt_err(format!(
@@ -348,11 +345,11 @@ impl TrainCheckpoint {
                     let mut epochs = Vec::with_capacity(n.min(4096));
                     for _ in 0..n {
                         let epoch = read_u64(&mut p)? as usize;
-                        let train_loss = crate::io::read_f32(&mut p)?;
-                        let train_accuracy = crate::io::read_f32(&mut p)?;
+                        let train_loss = read_f32(&mut p)?;
+                        let train_accuracy = read_f32(&mut p)?;
                         let has_eval = read_u8(&mut p)?;
-                        let eval_raw = crate::io::read_f32(&mut p)?;
-                        let learning_rate = crate::io::read_f32(&mut p)?;
+                        let eval_raw = read_f32(&mut p)?;
+                        let learning_rate = read_f32(&mut p)?;
                         let eval_accuracy = match has_eval {
                             0 => None,
                             1 => Some(eval_raw),
@@ -605,7 +602,7 @@ impl CheckpointStore {
     pub fn load_latest(&self) -> Option<TrainCheckpoint> {
         for (epoch, path) in self.list().into_iter().rev() {
             match fs::read(&path)
-                .map_err(io_err)
+                .map_err(|e| ckpt_err(format!("read {}: {e}", path.display())))
                 .and_then(|bytes| TrainCheckpoint::from_bytes(&bytes))
             {
                 Ok(ckpt) => {
@@ -648,8 +645,8 @@ impl CheckpointStore {
     }
 }
 
-/// Deletes every snapshot (and the directory, if then empty) — used once a
-/// run's artifacts are archived elsewhere.
+/// Deletes every snapshot (and the directory, if then empty), so the next
+/// run on this store trains from scratch.
 pub fn clear_store(dir: &Path) {
     let store = CheckpointStore {
         dir: dir.to_path_buf(),

@@ -1,27 +1,20 @@
-//! Compact binary serialization of trained networks.
+//! The layer codec: the payload of a checkpoint's NETWORK section.
 //!
 //! The benchmark harnesses train the same networks for several experiments
-//! (Table 1, Figure 1, the ablations); persisting trained models lets each
-//! harness reuse them. The format is a small explicit binary codec —
-//! little-endian, versioned, no external dependencies — rather than a
-//! generic serializer, so files stay stable across crate-internal
-//! refactors.
+//! (Table 1, Figure 1, the ablations) and reuse them through the checkpoint
+//! store ([`crate::checkpoint`]), whose NETWORK section is written by
+//! [`save_network`]. The codec is a small explicit little-endian binary
+//! format with no external dependencies — rather than a generic serializer —
+//! so files stay stable across crate-internal refactors. It has no magic or
+//! version of its own: the container's version covers it.
 //!
-//! Only parameter *values* and structural hyper-parameters are stored;
-//! gradients, momentum, and layer caches are reset on load. (Full training
-//! state — momentum buffers, RNG streams, the epoch cursor — is the job of
-//! [`crate::checkpoint`], which embeds this codec.)
+//! Only parameter *values* and structural hyper-parameters are stored here;
+//! momentum buffers live in the container's MOMENTUM section, and
+//! gradients and layer caches are reset on load.
 //!
-//! ## Versions
-//!
-//! * **v1** stored dropout layers as their probability only; the mask seed
-//!   was silently reset to 0 on load, so a saved-then-loaded network
-//!   trained with a different dropout stream than the original.
-//! * **v2** (current) persists each dropout layer's seed and call cursor.
-//!   v1 files still load — dropout is an inference no-op, so evaluation and
-//!   conversion are unaffected — but their dropout layers are tagged
-//!   ([`crate::layers::Dropout::has_legacy_seed`]) and the trainer refuses
-//!   to resume training through them.
+//! Decoding reads a CRC-checked in-memory slice. Every read goes through
+//! [`take`], so a corrupt length field fails with a format error before
+//! anything is allocated for it, and no input makes the decoder panic.
 
 use crate::error::{NnError, Result};
 use crate::layer::Layer;
@@ -30,80 +23,78 @@ use crate::layers::{
     ResidualBlock, Shortcut,
 };
 use crate::network::Network;
-use std::io::{Read, Write};
 use tcl_tensor::ops::ConvGeometry;
 use tcl_tensor::{Shape, Tensor};
 
-const MAGIC: &[u8; 4] = b"TCLN";
-/// Version written by [`save_network`].
-const VERSION: u32 = 2;
-/// Oldest version [`load_network`] still reads.
-const MIN_VERSION: u32 = 1;
-
-pub(crate) fn io_err(e: std::io::Error) -> NnError {
-    NnError::Graph {
-        detail: format!("model io: {e}"),
-    }
-}
-
-pub(crate) fn format_err(detail: impl Into<String>) -> NnError {
+fn format_err(detail: impl Into<String>) -> NnError {
     NnError::Graph {
         detail: format!("model format: {}", detail.into()),
     }
 }
 
-pub(crate) fn write_u32<W: Write>(w: &mut W, v: u32) -> Result<()> {
-    w.write_all(&v.to_le_bytes()).map_err(io_err)
+pub(crate) fn write_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn write_f32<W: Write>(w: &mut W, v: f32) -> Result<()> {
-    w.write_all(&v.to_le_bytes()).map_err(io_err)
+pub(crate) fn write_f32(out: &mut Vec<u8>, v: f32) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn write_u8<W: Write>(w: &mut W, v: u8) -> Result<()> {
-    w.write_all(&[v]).map_err(io_err)
+pub(crate) fn write_u8(out: &mut Vec<u8>, v: u8) {
+    out.push(v);
 }
 
-pub(crate) fn write_u64<W: Write>(w: &mut W, v: u64) -> Result<()> {
-    w.write_all(&v.to_le_bytes()).map_err(io_err)
+pub(crate) fn write_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn read_u64<R: Read>(r: &mut R) -> Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b).map_err(io_err)?;
-    Ok(u64::from_le_bytes(b))
+/// Splits the next `n` bytes off the front of `r` — the one bounds check
+/// every read in the checkpoint format goes through.
+pub(crate) fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
+    if n > r.len() {
+        return Err(format_err(format!(
+            "truncated: {n} bytes wanted, {} remain",
+            r.len()
+        )));
+    }
+    let (head, rest) = r.split_at(n);
+    *r = rest;
+    Ok(head)
 }
 
-pub(crate) fn read_u32<R: Read>(r: &mut R) -> Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b).map_err(io_err)?;
-    Ok(u32::from_le_bytes(b))
+fn read_array<const N: usize>(r: &mut &[u8]) -> Result<[u8; N]> {
+    let mut bytes = [0u8; N];
+    bytes.copy_from_slice(take(r, N)?);
+    Ok(bytes)
 }
 
-pub(crate) fn read_f32<R: Read>(r: &mut R) -> Result<f32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b).map_err(io_err)?;
-    Ok(f32::from_le_bytes(b))
+pub(crate) fn read_u64(r: &mut &[u8]) -> Result<u64> {
+    Ok(u64::from_le_bytes(read_array(r)?))
 }
 
-pub(crate) fn read_u8<R: Read>(r: &mut R) -> Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b).map_err(io_err)?;
-    Ok(b[0])
+pub(crate) fn read_u32(r: &mut &[u8]) -> Result<u32> {
+    Ok(u32::from_le_bytes(read_array(r)?))
 }
 
-pub(crate) fn write_tensor<W: Write>(w: &mut W, t: &Tensor) -> Result<()> {
-    write_u32(w, t.shape().rank() as u32)?;
+pub(crate) fn read_f32(r: &mut &[u8]) -> Result<f32> {
+    Ok(f32::from_le_bytes(read_array(r)?))
+}
+
+pub(crate) fn read_u8(r: &mut &[u8]) -> Result<u8> {
+    Ok(read_array::<1>(r)?[0])
+}
+
+pub(crate) fn write_tensor(out: &mut Vec<u8>, t: &Tensor) {
+    write_u32(out, t.shape().rank() as u32);
     for &d in t.dims() {
-        write_u32(w, d as u32)?;
+        write_u32(out, d as u32);
     }
     for &v in t.data() {
-        write_f32(w, v)?;
+        write_f32(out, v);
     }
-    Ok(())
 }
 
-pub(crate) fn read_tensor<R: Read>(r: &mut R) -> Result<Tensor> {
+pub(crate) fn read_tensor(r: &mut &[u8]) -> Result<Tensor> {
     let rank = read_u32(r)? as usize;
     if rank > 8 {
         return Err(format_err(format!("implausible tensor rank {rank}")));
@@ -114,68 +105,49 @@ pub(crate) fn read_tensor<R: Read>(r: &mut R) -> Result<Tensor> {
     }
     // Checked product: corrupt dims must yield a format error, not an
     // overflow panic inside `Shape::len`.
-    let mut len = 1usize;
-    for &d in &dims {
-        len = len
-            .checked_mul(d)
-            .ok_or_else(|| format_err("tensor size overflows"))?;
-    }
-    if len > 256 * 1024 * 1024 {
-        return Err(format_err(format!("implausible tensor size {len}")));
-    }
-    let shape = Shape::new(dims);
-    // Read the payload in bounded chunks: the length field is attacker- or
-    // corruption-controlled, so nothing may be reserved up front beyond one
-    // chunk (~256 KiB). A lying header then fails at the first short read
-    // instead of after a ~1 GiB pre-allocation.
-    const CHUNK_ELEMS: usize = 64 * 1024;
-    let mut data = Vec::with_capacity(len.min(CHUNK_ELEMS));
-    let mut buf = vec![0u8; 4 * len.min(CHUNK_ELEMS)];
-    let mut remaining = len;
-    while remaining > 0 {
-        let n = remaining.min(CHUNK_ELEMS);
-        let bytes = &mut buf[..4 * n];
-        r.read_exact(bytes).map_err(io_err)?;
-        data.extend(
-            bytes
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
-        );
-        remaining -= n;
-    }
-    Ok(Tensor::from_vec(shape, data)?)
+    let bytes = dims
+        .iter()
+        .try_fold(4usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| format_err("tensor size overflows"))?;
+    // The payload must be present before anything is allocated for it, so
+    // a lying header fails here instead of reserving its claimed size.
+    let data = take(r, bytes)?
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    Ok(Tensor::from_vec(Shape::new(dims), data)?)
 }
 
-fn write_opt_tensor<W: Write>(w: &mut W, t: Option<&Tensor>) -> Result<()> {
-    match t {
-        Some(t) => {
-            write_u8(w, 1)?;
-            write_tensor(w, t)
+fn write_opt<T>(out: &mut Vec<u8>, v: Option<&T>, write: impl FnOnce(&mut Vec<u8>, &T)) {
+    match v {
+        Some(v) => {
+            write_u8(out, 1);
+            write(out, v);
         }
-        None => write_u8(w, 0),
+        None => write_u8(out, 0),
     }
 }
 
-fn read_opt_tensor<R: Read>(r: &mut R) -> Result<Option<Tensor>> {
-    Ok(match read_u8(r)? {
-        0 => None,
-        1 => Some(read_tensor(r)?),
-        other => return Err(format_err(format!("bad option tag {other}"))),
-    })
+fn read_opt<T>(r: &mut &[u8], read: impl FnOnce(&mut &[u8]) -> Result<T>) -> Result<Option<T>> {
+    match read_u8(r)? {
+        0 => Ok(None),
+        1 => read(r).map(Some),
+        other => Err(format_err(format!("bad option tag {other}"))),
+    }
 }
 
-fn write_conv<W: Write>(w: &mut W, conv: &Conv2d) -> Result<()> {
-    write_tensor(w, &conv.weight.value)?;
-    write_opt_tensor(w, conv.bias.as_ref().map(|b| &b.value))?;
-    write_u32(w, conv.geom.kernel_h as u32)?;
-    write_u32(w, conv.geom.kernel_w as u32)?;
-    write_u32(w, conv.geom.stride as u32)?;
-    write_u32(w, conv.geom.padding as u32)
+fn write_conv(out: &mut Vec<u8>, conv: &Conv2d) {
+    write_tensor(out, &conv.weight.value);
+    write_opt(out, conv.bias.as_ref().map(|b| &b.value), write_tensor);
+    write_u32(out, conv.geom.kernel_h as u32);
+    write_u32(out, conv.geom.kernel_w as u32);
+    write_u32(out, conv.geom.stride as u32);
+    write_u32(out, conv.geom.padding as u32);
 }
 
-fn read_conv<R: Read>(r: &mut R) -> Result<Conv2d> {
+fn read_conv(r: &mut &[u8]) -> Result<Conv2d> {
     let weight = read_tensor(r)?;
-    let bias = read_opt_tensor(r)?;
+    let bias = read_opt(r, read_tensor)?;
     let kh = read_u32(r)? as usize;
     let kw = read_u32(r)? as usize;
     let stride = read_u32(r)? as usize;
@@ -184,16 +156,16 @@ fn read_conv<R: Read>(r: &mut R) -> Result<Conv2d> {
     Conv2d::from_parts(weight, bias, geom)
 }
 
-fn write_bn<W: Write>(w: &mut W, bn: &BatchNorm2d) -> Result<()> {
-    write_tensor(w, &bn.gamma.value)?;
-    write_tensor(w, &bn.beta.value)?;
-    write_tensor(w, &bn.running_mean)?;
-    write_tensor(w, &bn.running_var)?;
-    write_f32(w, bn.eps)?;
-    write_f32(w, bn.momentum)
+fn write_bn(out: &mut Vec<u8>, bn: &BatchNorm2d) {
+    write_tensor(out, &bn.gamma.value);
+    write_tensor(out, &bn.beta.value);
+    write_tensor(out, &bn.running_mean);
+    write_tensor(out, &bn.running_var);
+    write_f32(out, bn.eps);
+    write_f32(out, bn.momentum);
 }
 
-fn read_bn<R: Read>(r: &mut R) -> Result<BatchNorm2d> {
+fn read_bn(r: &mut &[u8]) -> Result<BatchNorm2d> {
     let gamma = read_tensor(r)?;
     let beta = read_tensor(r)?;
     let mean = read_tensor(r)?;
@@ -230,216 +202,144 @@ fn read_bn<R: Read>(r: &mut R) -> Result<BatchNorm2d> {
     Ok(bn)
 }
 
-fn write_opt_bn<W: Write>(w: &mut W, bn: Option<&BatchNorm2d>) -> Result<()> {
-    match bn {
-        Some(bn) => {
-            write_u8(w, 1)?;
-            write_bn(w, bn)
-        }
-        None => write_u8(w, 0),
+fn write_clip(out: &mut Vec<u8>, clip: &Clip) {
+    write_f32(out, clip.lambda_value());
+}
+
+fn read_clip(r: &mut &[u8]) -> Result<Clip> {
+    let lam = read_f32(r)?;
+    // `Clip::new` asserts a positive bound (NaN fails it), and an infinite
+    // bound clips nothing: both can only come from a corrupt file.
+    if !lam.is_finite() || lam <= 0.0 {
+        return Err(format_err(format!(
+            "clip bound {lam} not finite and positive"
+        )));
     }
+    Ok(Clip::new(lam))
 }
 
-fn read_opt_bn<R: Read>(r: &mut R) -> Result<Option<BatchNorm2d>> {
-    Ok(match read_u8(r)? {
-        0 => None,
-        1 => Some(read_bn(r)?),
-        other => return Err(format_err(format!("bad option tag {other}"))),
-    })
-}
-
-fn write_opt_clip<W: Write>(w: &mut W, clip: Option<&Clip>) -> Result<()> {
-    match clip {
-        Some(c) => {
-            write_u8(w, 1)?;
-            write_f32(w, c.lambda_value())
-        }
-        None => write_u8(w, 0),
-    }
-}
-
-fn read_opt_clip<R: Read>(r: &mut R) -> Result<Option<Clip>> {
-    Ok(match read_u8(r)? {
-        0 => None,
-        1 => {
-            let lam = read_f32(r)?;
-            if lam <= 0.0 {
-                return Err(format_err(format!("non-positive clip bound {lam}")));
-            }
-            Some(Clip::new(lam))
-        }
-        other => return Err(format_err(format!("bad option tag {other}"))),
-    })
-}
-
-/// Writes a network to any [`Write`] sink (a `&mut` reference works too).
-///
-/// # Errors
-///
-/// Returns a graph error wrapping any I/O failure.
-///
-/// # Examples
-///
-/// ```
-/// use tcl_nn::{save_network, load_network, Layer, Network};
-/// use tcl_nn::layers::Relu;
-///
-/// let net = Network::new(vec![Layer::Relu(Relu::new())]);
-/// let mut buf = Vec::new();
-/// save_network(&mut buf, &net)?;
-/// let back = load_network(&mut buf.as_slice())?;
-/// assert_eq!(back.len(), 1);
-/// # Ok::<(), tcl_nn::NnError>(())
-/// ```
-pub fn save_network<W: Write>(writer: &mut W, net: &Network) -> Result<()> {
-    writer.write_all(MAGIC).map_err(io_err)?;
-    write_u32(writer, VERSION)?;
-    write_u32(writer, net.len() as u32)?;
+/// Appends a network's layer records to `out`.
+pub(crate) fn save_network(out: &mut Vec<u8>, net: &Network) {
+    write_u32(out, net.len() as u32);
     for layer in net.layers() {
         match layer {
             Layer::Conv2d(conv) => {
-                write_u8(writer, 0)?;
-                write_conv(writer, conv)?;
+                write_u8(out, 0);
+                write_conv(out, conv);
             }
             Layer::Linear(linear) => {
-                write_u8(writer, 1)?;
-                write_tensor(writer, &linear.weight.value)?;
-                write_opt_tensor(writer, linear.bias.as_ref().map(|b| &b.value))?;
+                write_u8(out, 1);
+                write_tensor(out, &linear.weight.value);
+                write_opt(out, linear.bias.as_ref().map(|b| &b.value), write_tensor);
             }
             Layer::BatchNorm2d(bn) => {
-                write_u8(writer, 2)?;
-                write_bn(writer, bn)?;
+                write_u8(out, 2);
+                write_bn(out, bn);
             }
-            Layer::Relu(_) => write_u8(writer, 3)?,
+            Layer::Relu(_) => write_u8(out, 3),
             Layer::Clip(c) => {
-                write_u8(writer, 4)?;
-                write_f32(writer, c.lambda_value())?;
+                write_u8(out, 4);
+                write_clip(out, c);
             }
             Layer::AvgPool2d(p) => {
-                write_u8(writer, 5)?;
-                write_u32(writer, p.kernel as u32)?;
-                write_u32(writer, p.stride as u32)?;
+                write_u8(out, 5);
+                write_u32(out, p.kernel as u32);
+                write_u32(out, p.stride as u32);
             }
             Layer::MaxPool2d(p) => {
-                write_u8(writer, 6)?;
-                write_u32(writer, p.kernel as u32)?;
-                write_u32(writer, p.stride as u32)?;
+                write_u8(out, 6);
+                write_u32(out, p.kernel as u32);
+                write_u32(out, p.stride as u32);
             }
-            Layer::GlobalAvgPool(_) => write_u8(writer, 7)?,
-            Layer::Flatten(_) => write_u8(writer, 8)?,
+            Layer::GlobalAvgPool(_) => write_u8(out, 7),
+            Layer::Flatten(_) => write_u8(out, 8),
             Layer::Dropout(d) => {
-                write_u8(writer, 10)?;
-                write_f32(writer, d.p)?;
-                // v2: persist the mask stream (seed + call cursor) so a
-                // reloaded network trains with the same dropout draws.
-                write_u64(writer, d.seed())?;
-                write_u64(writer, d.calls())?;
+                write_u8(out, 10);
+                write_f32(out, d.p);
+                // The mask stream (seed + call cursor), so a reloaded
+                // network trains with the same dropout draws.
+                write_u64(out, d.seed());
+                write_u64(out, d.calls());
             }
             Layer::Residual(block) => {
-                write_u8(writer, 9)?;
-                write_conv(writer, &block.conv1)?;
-                write_opt_bn(writer, block.bn1.as_ref())?;
-                write_opt_clip(writer, block.clip1.as_ref())?;
-                write_conv(writer, &block.conv2)?;
-                write_opt_bn(writer, block.bn2.as_ref())?;
+                write_u8(out, 9);
+                write_conv(out, &block.conv1);
+                write_opt(out, block.bn1.as_ref(), write_bn);
+                write_opt(out, block.clip1.as_ref(), write_clip);
+                write_conv(out, &block.conv2);
+                write_opt(out, block.bn2.as_ref(), write_bn);
                 match &block.shortcut {
-                    Shortcut::Identity => write_u8(writer, 0)?,
+                    Shortcut::Identity => write_u8(out, 0),
                     Shortcut::Projection { conv, bn } => {
-                        write_u8(writer, 1)?;
-                        write_conv(writer, conv)?;
-                        write_opt_bn(writer, bn.as_ref())?;
+                        write_u8(out, 1);
+                        write_conv(out, conv);
+                        write_opt(out, bn.as_ref(), write_bn);
                     }
                 }
-                write_opt_clip(writer, block.clip_out.as_ref())?;
+                write_opt(out, block.clip_out.as_ref(), write_clip);
             }
         }
     }
-    Ok(())
 }
 
-/// Reads a network previously written by [`save_network`].
+/// Reads a network written by [`save_network`].
 ///
 /// # Errors
 ///
-/// Returns a graph error for I/O failures, a bad magic/version, or a
-/// malformed layer record.
-pub fn load_network<R: Read>(reader: &mut R) -> Result<Network> {
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic).map_err(io_err)?;
-    if &magic != MAGIC {
-        return Err(format_err("bad magic"));
-    }
-    let version = read_u32(reader)?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(format_err(format!("unsupported version {version}")));
-    }
-    let count = read_u32(reader)? as usize;
-    if count > 100_000 {
-        return Err(format_err(format!("implausible layer count {count}")));
-    }
-    let mut layers = Vec::with_capacity(count);
+/// Returns a graph error for a truncated or malformed layer record.
+pub(crate) fn load_network(r: &mut &[u8]) -> Result<Network> {
+    let count = read_u32(r)?;
+    // No reservation from `count`: a lying count fails at the first
+    // missing record, having grown `layers` only by what was decoded.
+    let mut layers = Vec::new();
     for _ in 0..count {
-        let tag = read_u8(reader)?;
-        let layer = match tag {
-            0 => Layer::Conv2d(read_conv(reader)?),
+        let layer = match read_u8(r)? {
+            0 => Layer::Conv2d(read_conv(r)?),
             1 => {
-                let weight = read_tensor(reader)?;
-                let bias = read_opt_tensor(reader)?;
+                let weight = read_tensor(r)?;
+                let bias = read_opt(r, read_tensor)?;
                 Layer::Linear(Linear::from_parts(weight, bias)?)
             }
-            2 => Layer::BatchNorm2d(read_bn(reader)?),
+            2 => Layer::BatchNorm2d(read_bn(r)?),
             3 => Layer::Relu(Relu::new()),
-            4 => {
-                let lam = read_f32(reader)?;
-                if lam <= 0.0 {
-                    return Err(format_err(format!("non-positive clip bound {lam}")));
-                }
-                Layer::Clip(Clip::new(lam))
-            }
+            4 => Layer::Clip(read_clip(r)?),
             5 => {
-                let kernel = read_u32(reader)? as usize;
-                let stride = read_u32(reader)? as usize;
+                let kernel = read_u32(r)? as usize;
+                let stride = read_u32(r)? as usize;
                 Layer::AvgPool2d(AvgPool2d::new(kernel, stride)?)
             }
             6 => {
-                let kernel = read_u32(reader)? as usize;
-                let stride = read_u32(reader)? as usize;
+                let kernel = read_u32(r)? as usize;
+                let stride = read_u32(r)? as usize;
                 Layer::MaxPool2d(MaxPool2d::new(kernel, stride)?)
             }
             7 => Layer::GlobalAvgPool(GlobalAvgPool::new()),
             8 => Layer::Flatten(Flatten::new()),
             9 => {
-                let conv1 = read_conv(reader)?;
-                let bn1 = read_opt_bn(reader)?;
-                let clip1 = read_opt_clip(reader)?;
-                let conv2 = read_conv(reader)?;
-                let bn2 = read_opt_bn(reader)?;
-                let shortcut = match read_u8(reader)? {
+                let conv1 = read_conv(r)?;
+                let bn1 = read_opt(r, read_bn)?;
+                let clip1 = read_opt(r, read_clip)?;
+                let conv2 = read_conv(r)?;
+                let bn2 = read_opt(r, read_bn)?;
+                let shortcut = match read_u8(r)? {
                     0 => Shortcut::Identity,
                     1 => {
-                        let conv = read_conv(reader)?;
-                        let bn = read_opt_bn(reader)?;
+                        let conv = read_conv(r)?;
+                        let bn = read_opt(r, read_bn)?;
                         Shortcut::Projection { conv, bn }
                     }
                     other => return Err(format_err(format!("bad shortcut tag {other}"))),
                 };
-                let clip_out = read_opt_clip(reader)?;
+                let clip_out = read_opt(r, read_clip)?;
                 Layer::Residual(ResidualBlock::from_parts(
                     conv1, bn1, clip1, conv2, bn2, shortcut, clip_out,
                 ))
             }
             10 => {
-                let p = read_f32(reader)?;
-                if version >= 2 {
-                    let seed = read_u64(reader)?;
-                    let calls = read_u64(reader)?;
-                    Layer::Dropout(Dropout::from_saved(p, seed, calls)?)
-                } else {
-                    // v1 never stored the seed; tag the layer so the
-                    // trainer can refuse to silently resume with a
-                    // different mask stream.
-                    Layer::Dropout(Dropout::from_legacy_record(p)?)
-                }
+                let p = read_f32(r)?;
+                let seed = read_u64(r)?;
+                let calls = read_u64(r)?;
+                Layer::Dropout(Dropout::from_saved(p, seed, calls)?)
             }
             other => return Err(format_err(format!("unknown layer tag {other}"))),
         };
@@ -454,10 +354,18 @@ mod tests {
     use crate::Mode;
     use tcl_tensor::SeededRng;
 
-    fn roundtrip(net: &Network) -> Network {
+    fn encode(net: &Network) -> Vec<u8> {
         let mut buf = Vec::new();
-        save_network(&mut buf, net).unwrap();
-        load_network(&mut buf.as_slice()).unwrap()
+        save_network(&mut buf, net);
+        buf
+    }
+
+    fn roundtrip(net: &Network) -> Network {
+        let buf = encode(net);
+        let mut r = buf.as_slice();
+        let back = load_network(&mut r).unwrap();
+        assert!(r.is_empty(), "decoder left {} bytes", r.len());
+        back
     }
 
     fn assert_same_function(a: &Network, b: &Network, input: &Tensor) {
@@ -466,6 +374,13 @@ mod tests {
         let ya = a.forward(input, Mode::Eval).unwrap();
         let yb = b.forward(input, Mode::Eval).unwrap();
         assert!(ya.max_abs_diff(&yb).unwrap() < 1e-6);
+    }
+
+    /// A one-layer payload: layer count 1, then `record`.
+    fn one_layer(record: &[u8]) -> Vec<u8> {
+        let mut buf = 1u32.to_le_bytes().to_vec();
+        buf.extend_from_slice(record);
+        buf
     }
 
     #[test]
@@ -521,31 +436,46 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_is_rejected() {
-        let buf = b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00".to_vec();
-        assert!(load_network(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
     fn truncated_stream_is_rejected() {
         let mut rng = SeededRng::new(3);
         let net = Network::new(vec![Layer::Linear(
             Linear::new(4, 4, true, &mut rng).unwrap(),
         )]);
-        let mut buf = Vec::new();
-        save_network(&mut buf, &net).unwrap();
+        let mut buf = encode(&net);
         buf.truncate(buf.len() / 2);
         assert!(load_network(&mut buf.as_slice()).is_err());
     }
 
     #[test]
     fn unknown_layer_tag_is_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"TCLN");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.push(200); // bogus tag
+        let buf = one_layer(&[200]); // bogus tag
         assert!(load_network(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_clip_bounds_are_rejected() {
+        let block = ResidualBlock::new(2, 2, 1, false, Some(2.5), &mut SeededRng::new(5)).unwrap();
+        let residual = encode(&Network::new(vec![Layer::Residual(block)]));
+        let bound = 2.5f32.to_le_bytes();
+        for lam in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -1.0] {
+            // A `Clip` layer record (tag 4)…
+            let mut record = vec![4];
+            record.extend_from_slice(&lam.to_le_bytes());
+            let err = load_network(&mut one_layer(&record).as_slice()).unwrap_err();
+            assert!(err.to_string().contains("clip bound"), "{lam}: {err}");
+            // …and a residual block's optional clips.
+            let mut buf = residual.clone();
+            for i in 0..buf.len() - 3 {
+                if buf[i..i + 4] == bound {
+                    buf[i..i + 4].copy_from_slice(&lam.to_le_bytes());
+                }
+            }
+            let err = load_network(&mut buf.as_slice()).unwrap_err();
+            assert!(
+                err.to_string().contains("clip bound"),
+                "residual {lam}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -559,25 +489,6 @@ mod tests {
         if let Layer::Dropout(b) = &back.layers()[0] {
             assert_eq!(b.seed(), 0xD00D);
             assert_eq!(b.calls(), 2);
-            assert!(!b.has_legacy_seed());
-        } else {
-            panic!("expected dropout layer");
-        }
-    }
-
-    #[test]
-    fn v1_dropout_records_load_as_legacy() {
-        // Hand-built v1 file: magic, version 1, one dropout layer (p only).
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"TCLN");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.push(10);
-        buf.extend_from_slice(&0.5f32.to_le_bytes());
-        let net = load_network(&mut buf.as_slice()).unwrap();
-        if let Layer::Dropout(d) = &net.layers()[0] {
-            assert!(d.has_legacy_seed());
-            assert_eq!(d.p, 0.5);
         } else {
             panic!("expected dropout layer");
         }
@@ -586,11 +497,6 @@ mod tests {
     #[test]
     fn mismatched_batch_norm_lengths_are_rejected() {
         // Serialize a batch-norm whose beta is shorter than gamma.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"TCLN");
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.push(2); // batch-norm tag
         let vec_tensor = |n: usize| {
             let mut b = Vec::new();
             b.extend_from_slice(&1u32.to_le_bytes()); // rank 1
@@ -600,33 +506,31 @@ mod tests {
             }
             b
         };
-        buf.extend_from_slice(&vec_tensor(4)); // gamma
-        buf.extend_from_slice(&vec_tensor(3)); // beta: wrong length
-        buf.extend_from_slice(&vec_tensor(4)); // running_mean
-        buf.extend_from_slice(&vec_tensor(4)); // running_var
-        buf.extend_from_slice(&1e-5f32.to_le_bytes());
-        buf.extend_from_slice(&0.1f32.to_le_bytes());
-        let err = load_network(&mut buf.as_slice()).unwrap_err();
+        let mut record = vec![2]; // batch-norm tag
+        record.extend_from_slice(&vec_tensor(4)); // gamma
+        record.extend_from_slice(&vec_tensor(3)); // beta: wrong length
+        record.extend_from_slice(&vec_tensor(4)); // running_mean
+        record.extend_from_slice(&vec_tensor(4)); // running_var
+        record.extend_from_slice(&1e-5f32.to_le_bytes());
+        record.extend_from_slice(&0.1f32.to_le_bytes());
+        let err = load_network(&mut one_layer(&record).as_slice()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("beta length 3"), "{msg}");
     }
 
     #[test]
     fn lying_tensor_header_fails_without_pre_allocating() {
-        // A header that claims a near-cap tensor (192M elements ≈ 768 MB)
-        // followed by no payload: the chunked reader must fail at the first
-        // short read rather than reserving the full claimed size up front.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"TCLN");
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.push(1); // linear tag → weight tensor first
-        buf.extend_from_slice(&2u32.to_le_bytes()); // rank 2
-        buf.extend_from_slice(&(16 * 1024u32).to_le_bytes());
-        buf.extend_from_slice(&(12 * 1024u32).to_le_bytes());
+        // A header that claims a large tensor (192M elements ≈ 768 MB)
+        // followed by no payload: the reader must fail on the bytes that
+        // remain rather than reserving the full claimed size up front.
+        let mut record = vec![1]; // linear tag → weight tensor first
+        record.extend_from_slice(&2u32.to_le_bytes()); // rank 2
+        record.extend_from_slice(&(16 * 1024u32).to_le_bytes());
+        record.extend_from_slice(&(12 * 1024u32).to_le_bytes());
         // No payload bytes at all.
         let start = std::time::Instant::now();
-        assert!(load_network(&mut buf.as_slice()).is_err());
+        let err = load_network(&mut one_layer(&record).as_slice()).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
         // Failing fast is the point: reading must not attempt the full
         // claimed payload.
         assert!(start.elapsed().as_secs() < 5);

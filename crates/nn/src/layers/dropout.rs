@@ -18,7 +18,6 @@ pub struct Dropout {
     pub p: f32,
     seed: u64,
     calls: u64,
-    legacy_seed: bool,
     mask: Option<Vec<bool>>,
 }
 
@@ -41,13 +40,12 @@ impl Dropout {
             p,
             seed,
             calls: 0,
-            legacy_seed: false,
             mask: None,
         })
     }
 
-    /// Rebuilds a layer from persisted state (v2 model files and training
-    /// checkpoints), continuing the mask stream exactly where it left off.
+    /// Rebuilds a layer from persisted state (a training checkpoint),
+    /// continuing the mask stream exactly where it left off.
     ///
     /// # Errors
     ///
@@ -55,22 +53,6 @@ impl Dropout {
     pub fn from_saved(p: f32, seed: u64, calls: u64) -> Result<Self> {
         let mut d = Dropout::new(p, seed)?;
         d.calls = calls;
-        Ok(d)
-    }
-
-    /// Rebuilds a layer from a v1 model record, which stored only `p`.
-    ///
-    /// The original seed is unknown, so the layer is tagged: evaluation and
-    /// conversion work normally (dropout is an inference no-op), but the
-    /// trainer refuses to *resume training* through it — a silently
-    /// different mask stream would break reproducibility guarantees.
-    ///
-    /// # Errors
-    ///
-    /// Returns a graph error unless `0 ≤ p < 1`.
-    pub fn from_legacy_record(p: f32) -> Result<Self> {
-        let mut d = Dropout::new(p, 0)?;
-        d.legacy_seed = true;
         Ok(d)
     }
 
@@ -83,12 +65,6 @@ impl Dropout {
     /// cursor).
     pub fn calls(&self) -> u64 {
         self.calls
-    }
-
-    /// Whether this layer came from a v1 model record whose dropout seed
-    /// was not persisted (see [`Dropout::from_legacy_record`]).
-    pub fn has_legacy_seed(&self) -> bool {
-        self.legacy_seed
     }
 
     /// Forward pass: identity in evaluation mode, random masking in
@@ -233,13 +209,5 @@ mod tests {
         assert_eq!(b.seed(), 11);
         let z1 = b.forward(&x, Mode::Train);
         assert_eq!(y1, z1, "restored layer replays the same mask stream");
-    }
-
-    #[test]
-    fn legacy_records_are_tagged() {
-        let d = Dropout::from_legacy_record(0.3).unwrap();
-        assert!(d.has_legacy_seed());
-        assert!(!Dropout::new(0.3, 0).unwrap().has_legacy_seed());
-        assert!(Dropout::from_legacy_record(1.5).is_err());
     }
 }

@@ -59,7 +59,6 @@ mod trainer;
 pub use augment::{augment_batch, AugmentConfig};
 pub use checkpoint::{config_fingerprint, CheckpointConfig, CheckpointStore, TrainCheckpoint};
 pub use error::{NnError, Result};
-pub use io::{load_network, save_network};
 pub use layer::{Layer, Mode};
 pub use loss::{softmax_cross_entropy, LossOutput};
 pub use network::Network;

@@ -3,7 +3,7 @@
 use crate::augment::{augment_batch, AugmentConfig};
 use crate::checkpoint::{config_fingerprint, CheckpointConfig, CheckpointStore, TrainCheckpoint};
 use crate::error::{NnError, Result};
-use crate::layer::{Layer, Mode};
+use crate::layer::Mode;
 use crate::loss::softmax_cross_entropy;
 use crate::network::Network;
 use crate::optim::{Sgd, StepSchedule};
@@ -198,25 +198,6 @@ pub fn evaluate(
     Ok(correct as f32 / n as f32)
 }
 
-/// Rejects resuming *training* through a network whose dropout layers came
-/// from a v1 model record: their original seed was never persisted, so the
-/// mask stream cannot be reproduced and bit-exact resume is impossible.
-fn reject_legacy_dropout(net: &Network) -> Result<()> {
-    for layer in net.layers() {
-        if let Layer::Dropout(d) = layer {
-            if d.has_legacy_seed() {
-                return Err(NnError::Checkpoint {
-                    detail: "network contains a dropout layer loaded from a v1 model \
-                             record (seed not persisted); it can be evaluated and \
-                             converted but not resumed for training"
-                        .into(),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Validates `(inputs, labels, config)` and returns the row count.
 fn validate_train_args(inputs: &Tensor, labels: &[usize], config: &TrainConfig) -> Result<usize> {
     let n = inputs.dims().first().copied().unwrap_or(0);
@@ -386,8 +367,7 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Returns an error for empty/mismatched data, layer failures, or a
-    /// network whose dropout state cannot be reproduced (v1 records).
+    /// Returns an error for empty/mismatched data or layer failures.
     pub fn run(
         &self,
         net: &mut Network,
@@ -396,7 +376,6 @@ impl Trainer {
         eval: Option<(&Tensor, &[usize])>,
     ) -> Result<TrainReport> {
         validate_train_args(inputs, labels, &self.config)?;
-        reject_legacy_dropout(net)?;
         let mut rng = SeededRng::new(self.config.shuffle_seed);
         let mut optimizer = self.config.optimizer.clone();
         let mut report = TrainReport { epochs: Vec::new() };
@@ -446,7 +425,6 @@ impl Trainer {
             return self.run(net, inputs, labels, eval);
         };
         validate_train_args(inputs, labels, &self.config)?;
-        reject_legacy_dropout(net)?;
         let store = CheckpointStore::new(ckpt_config);
         let fingerprint = config_fingerprint(&self.config);
 
@@ -468,7 +446,6 @@ impl Trainer {
                     ),
                 });
             }
-            reject_legacy_dropout(&snapshot.network)?;
             *net = snapshot.network;
             rng = SeededRng::from_state(snapshot.rng_state);
             report = snapshot.report;

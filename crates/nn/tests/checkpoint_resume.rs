@@ -13,10 +13,15 @@
 //! 3. **Detection** — any single-byte corruption of a snapshot is either
 //!    detected (structured error) or provably harmless (the parsed state is
 //!    bit-identical to the original). Never a panic, never a silently
-//!    wrong network.
+//!    wrong network. Behind a resealed CRC, the network decoder itself is
+//!    total: any mutation of the NETWORK section is an `Ok` or an `Err`.
+//! 4. **Cache** — re-running a finished store trains and writes nothing.
 
 use proptest::prelude::*;
-use tcl_nn::layers::{Clip, Dropout, Linear, Relu};
+use tcl_nn::layers::{
+    AvgPool2d, BatchNorm2d, Clip, Conv2d, Dropout, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu,
+    ResidualBlock,
+};
 use tcl_nn::{
     config_fingerprint, AugmentConfig, CheckpointConfig, CheckpointStore, Layer, Network, NnError,
     TrainCheckpoint, TrainConfig, TrainReport, Trainer,
@@ -297,16 +302,40 @@ fn mismatched_hyperparameters_refuse_to_resume() {
 }
 
 #[test]
-fn legacy_v1_dropout_cannot_resume_training() {
-    // A dropout layer loaded from a v1 record has an unknown seed; training
-    // through it would silently diverge, so the trainer refuses.
-    let mut layers = mlp(13).layers().to_vec();
-    layers[3] = Layer::Dropout(Dropout::from_legacy_record(0.25).unwrap());
-    let mut net = Network::new(layers);
-    let (x, y) = blob_data(6, 10);
-    let cfg = TrainConfig::standard(2, 8, 0.05, &[]).unwrap();
-    let err = Trainer::new(cfg).run(&mut net, &x, &y, None).unwrap_err();
-    assert!(matches!(err, NnError::Checkpoint { .. }), "got {err}");
+fn finished_store_is_a_cache() {
+    // A store whose newest snapshot is the last epoch is a model cache:
+    // re-running the same config resumes at epoch N/N, trains nothing,
+    // writes nothing, and hands back the stored network bit-exactly.
+    let (x, y) = blob_data(10, 10);
+    let cfg = TrainConfig::standard(4, 8, 0.05, &[3]).unwrap();
+    let dir = temp_dir("cache");
+    tcl_nn::checkpoint::clear_store(&dir);
+    let trainer = Trainer::new(cfg).with_checkpoints(CheckpointConfig::new(&dir).with_every(1));
+    let mut trained = mlp(19);
+    let trained_report = trainer.run_resumable(&mut trained, &x, &y, None).unwrap();
+
+    let store = CheckpointStore::new(&CheckpointConfig::new(&dir));
+    let files = |store: &CheckpointStore| -> Vec<_> {
+        store
+            .list()
+            .into_iter()
+            .map(|(epoch, path)| {
+                let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+                (epoch, modified, std::fs::read(&path).unwrap())
+            })
+            .collect()
+    };
+    let before = files(&store);
+
+    // A differently initialised network: had any epoch run, the result
+    // would not be the stored one.
+    let mut cached = mlp(20);
+    let cached_report = trainer.run_resumable(&mut cached, &x, &y, None).unwrap();
+    assert_eq!(bit_state(&cached), bit_state(&trained));
+    reports_bit_equal(&cached_report, &trained_report);
+    assert!(files(&store) == before, "a cache hit rewrote the store");
+
+    tcl_nn::checkpoint::clear_store(&dir);
 }
 
 fn reference_checkpoint() -> TrainCheckpoint {
@@ -357,4 +386,105 @@ proptest! {
             }
         }
     }
+}
+
+/// A snapshot whose network holds every layer record the codec knows:
+/// conv, linear, batch-norm, clip, both pools, global pool, flatten,
+/// dropout, and residual blocks with an identity and a projection
+/// shortcut (one with batch-norm and clips, one without either).
+fn every_layer_checkpoint() -> TrainCheckpoint {
+    let mut rng = SeededRng::new(23);
+    let net = Network::new(vec![
+        Layer::Conv2d(Conv2d::new(1, 2, 3, 1, 1, true, &mut rng).unwrap()),
+        Layer::BatchNorm2d(BatchNorm2d::new(2).unwrap()),
+        Layer::Relu(Relu::new()),
+        Layer::Clip(Clip::new(1.5)),
+        Layer::Residual(ResidualBlock::new(2, 2, 1, false, None, &mut rng).unwrap()),
+        Layer::Residual(ResidualBlock::new(2, 4, 2, true, Some(2.0), &mut rng).unwrap()),
+        Layer::MaxPool2d(MaxPool2d::new(2, 2).unwrap()),
+        Layer::AvgPool2d(AvgPool2d::new(2, 2).unwrap()),
+        Layer::GlobalAvgPool(GlobalAvgPool::new()),
+        Layer::Flatten(Flatten::new()),
+        Layer::Dropout(Dropout::new(0.25, 5).unwrap()),
+        Layer::Linear(Linear::new(4, 2, true, &mut rng).unwrap()),
+    ]);
+    let cfg = TrainConfig::standard(1, 8, 0.05, &[]).unwrap();
+    let report = TrainReport { epochs: Vec::new() };
+    TrainCheckpoint::capture(&net, &SeededRng::new(1), &report, &cfg, 0)
+}
+
+/// Applies `edit` to the NETWORK section's payload and rewrites that
+/// section's length and CRC, so the container accepts the edited bytes
+/// and hands them to the network decoder.
+fn reseal_network(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    const NETWORK: u8 = 2;
+    let mut out = bytes[..12].to_vec(); // magic, version, section count
+    let mut at = 12;
+    let mut edit = Some(edit);
+    while at < bytes.len() {
+        let tag = bytes[at];
+        let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+        let start = at + 13;
+        let mut payload = bytes[start..start + len].to_vec();
+        let mut crc = u32::from_le_bytes(bytes[at + 9..start].try_into().unwrap());
+        if tag == NETWORK {
+            (edit.take().unwrap())(&mut payload);
+            crc = tcl_nn::checkpoint::crc32(&payload);
+        }
+        out.push(tag);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&crc.to_le_bytes());
+        out.extend_from_slice(&payload);
+        at = start + len;
+    }
+    assert!(edit.is_none(), "no NETWORK section found");
+    out
+}
+
+/// Four-byte values a corrupt length, dimension or float field is most
+/// likely to be wrong with: zero, one, huge, negative, NaN and infinities.
+const NASTY_WORDS: [u32; 8] = [
+    0,
+    1,
+    u32::MAX,
+    0x8000_0000,
+    0x7FC0_0000, // NaN
+    0x7F80_0000, // +inf
+    0xFF80_0000, // -inf
+    0xBF80_0000, // -1.0
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The network decoder is total on its own: with the CRC resealed over
+    /// the mutated NETWORK payload, every overwrite, nasty-word splice,
+    /// insertion or truncation decodes to `Ok` or `Err`, never a panic.
+    #[test]
+    fn resealed_network_mutations_never_panic(
+        edits in proptest::collection::vec((0u8..4, 0usize..1_000_000, 0u32..256), 1..4),
+    ) {
+        let bytes = every_layer_checkpoint().to_bytes().unwrap();
+        let mutated = reseal_network(&bytes, |payload| {
+            for (kind, pos, value) in edits {
+                let at = pos % payload.len().max(1);
+                match kind {
+                    0 if !payload.is_empty() => payload[at] = value as u8,
+                    1 if at + 4 <= payload.len() => payload[at..at + 4]
+                        .copy_from_slice(&NASTY_WORDS[value as usize % 8].to_le_bytes()),
+                    2 => payload.insert(at.min(payload.len()), value as u8),
+                    _ => payload.truncate(at),
+                }
+            }
+        });
+        let _ = TrainCheckpoint::from_bytes(&mutated);
+    }
+}
+
+#[test]
+fn resealing_an_untouched_network_section_round_trips() {
+    // Guards the mutation test above: its resealing alone must decode.
+    let bytes = every_layer_checkpoint().to_bytes().unwrap();
+    assert_eq!(reseal_network(&bytes, |_| {}), bytes);
+    assert!(TrainCheckpoint::from_bytes(&bytes).is_ok());
 }

@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use tcl_nn::layers::{Clip, Conv2d, Linear, Relu};
-use tcl_nn::{load_network, save_network, softmax_cross_entropy, Layer, Mode, Network, Sgd};
+use tcl_nn::{
+    softmax_cross_entropy, Layer, Mode, Network, Sgd, TrainCheckpoint, TrainConfig, TrainReport,
+};
 use tcl_tensor::{ops, SeededRng, Tensor};
 
 fn rng_tensor(shape: Vec<usize>, seed: u64, scale: f32) -> Tensor {
@@ -164,9 +166,10 @@ proptest! {
             Layer::Clip(Clip::new(lambda)),
             Layer::Linear(Linear::new(hidden, 3, true, &mut rng).unwrap()),
         ]);
-        let mut buf = Vec::new();
-        save_network(&mut buf, &net).unwrap();
-        let back = load_network(&mut buf.as_slice()).unwrap();
+        let config = TrainConfig::standard(1, 1, 0.05, &[]).unwrap();
+        let report = TrainReport { epochs: Vec::new() };
+        let ckpt = TrainCheckpoint::capture(&net, &rng, &report, &config, 0);
+        let back = TrainCheckpoint::from_bytes(&ckpt.to_bytes().unwrap()).unwrap().network;
         let x = rng.uniform_tensor([3, 4], -1.0, 1.0);
         let ya = net.clone().forward(&x, Mode::Eval).unwrap();
         let yb = back.clone().forward(&x, Mode::Eval).unwrap();
