@@ -224,7 +224,14 @@ for isa in scalar native; do
     TCL_SIMD=$isa TCL_THREADS=$t cargo test -q -p tcl-serve --tests
   done
 done
-./target/release/tcl_serve --help | grep -q TCL_SERVE_ADDR
+serve_help=$(./target/release/tcl_serve --help)
+if ! printf '%s\n' "$serve_help" | grep -q -- '--model' \
+    || ! printf '%s\n' "$serve_help" | grep -q TCL_SERVE_ADDR \
+    || printf '%s\n' "$serve_help" | grep -q TCL_SERVE_FEATURES; then
+  echo "FAIL: tcl_serve --help must name --model and TCL_SERVE_ADDR, and not TCL_SERVE_FEATURES" >&2
+  printf '%s\n' "$serve_help" >&2
+  exit 1
+fi
 # Negative control: a request body cut off mid-transfer must resolve to a
 # timely 4xx (slow-loris timeout), never a hang or a served answer.
 serve_out=$(cargo test -q -p tcl-serve --test faults   truncated_body_answers_4xx_within_timeout -- --exact 2>&1)
@@ -235,14 +242,19 @@ if ! printf '%s\n' "$serve_out" | grep -q '1 passed'; then
 fi
 echo "tcl-serve OK (deterministic across TCL_SIMD={scalar,native} x TCL_THREADS={1,4} + truncated-body control)"
 
-echo "==> tcl-serve: loopback soak (real sockets, reused connections)"
-# Drives the real tcl_serve binary over loopback TCP with kept-alive
-# connections, asserting zero parse errors and sheds-within-deadline, and
-# comparing p50/p99/shed against the virtual-clock prediction. Includes
-# the duplicate-Content-Length negative control (smuggling shape -> 400)
-# and an in-order pipelining probe.
-soak_out=$(TCL_SCALE=quick cargo run --release -q -p tcl-bench --bin serve_bench -- --soak 2>&1)
+echo "==> tcl-serve: loopback soak (converted cnn6, real sockets, reused connections)"
+# Converts the quick TCL cnn6 into a model file and drives the real
+# `tcl_serve --model` over loopback TCP with kept-alive connections,
+# asserting zero parse errors, sheds-within-deadline, and every 200 answer
+# equal to Engine::evaluate_shared, and comparing p50/p99/shed against the
+# virtual-clock prediction. Includes the duplicate-Content-Length negative
+# control (smuggling shape -> 400) and an in-order pipelining probe.
+soak_dir=target/ci-soak
+rm -rf "$soak_dir"
+soak_out=$(TCL_SCALE=quick TCL_RESULTS_DIR="$soak_dir" \
+  cargo run --release -q -p tcl-bench --bin serve_bench -- --soak 2>&1)
 for want in 'parse_errors=0' 'sheds-within-deadline held' \
+    'every 200 answer matches Engine::evaluate_shared' \
     'duplicate-Content-Length probe -> 400' 'pipelined burst answered in order' 'soak OK'; do
   if ! printf '%s\n' "$soak_out" | grep -q "$want"; then
     echo "FAIL: soak missing \"$want\"" >&2
@@ -250,7 +262,28 @@ for want in 'parse_errors=0' 'sheds-within-deadline held' \
     exit 1
   fi
 done
-echo "tcl-serve soak OK (keep-alive over real sockets + duplicate-Content-Length control)"
+echo "tcl-serve soak OK (converted model over real sockets + duplicate-Content-Length control)"
+
+# Negative control: a missing model file and a corrupted one (one byte of
+# the soak's model flipped) must each be refused at start-up with a
+# non-zero exit and no panic (a Rust panic exits 101).
+corrupt="$soak_dir/corrupt.tclk"
+cp "$soak_dir/serve_bench_cnn6_quick.tclk" "$corrupt"
+offset=$(( $(stat -c %s "$corrupt") / 2 ))
+byte=$(od -An -tu1 -j "$offset" -N1 "$corrupt" | tr -d ' ')
+printf "\\$(printf '%03o' $(( byte ^ 255 )))" | dd of="$corrupt" bs=1 seek="$offset" conv=notrunc status=none
+for model in /nonexistent "$corrupt"; do
+  set +e
+  model_out=$(TCL_SERVE_ADDR=127.0.0.1:0 TCL_SERVE_TICKS=1 ./target/release/tcl_serve --model "$model" 2>&1)
+  model_rc=$?
+  set -e
+  if [ "$model_rc" -eq 0 ] || [ "$model_rc" -eq 101 ] || printf '%s\n' "$model_out" | grep -q panicked; then
+    echo "FAIL: tcl_serve --model $model exited $model_rc (want a refusal, not a start or a panic)" >&2
+    printf '%s\n' "$model_out" >&2
+    exit 1
+  fi
+done
+echo "tcl-serve model negative control OK (missing and corrupted model files refused)"
 
 echo "==> perfbench: the repo benchmark's package (fmt + clippy + library tests + smoke runs)"
 # perfbench/ is a package of its own (own [workspace] and Cargo.lock) that

@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::sync::Arc;
 use std::time::Instant;
-use tcl_bench::{help_requested, train_or_load, DatasetKind, Scale};
+use tcl_bench::{help_requested, percentile, train_or_load, DatasetKind, Scale};
 use tcl_core::{Converter, NormStrategy};
 use tcl_models::Architecture;
 use tcl_snn::{Engine, ExitPolicy, Readout, SimConfig};
@@ -120,14 +120,6 @@ fn scrape_us(addr: std::net::SocketAddr) -> f64 {
     conn.read_to_string(&mut body).expect("read response");
     assert!(body.starts_with("HTTP/1.1 200"), "scrape failed: {body}");
     start.elapsed().as_secs_f64() * 1e6
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Runs one phase in-process and prints the marker line the parent parses.

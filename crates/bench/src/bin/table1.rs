@@ -17,11 +17,13 @@
 //! ```
 //!
 //! Output: one aligned table per dataset block (mirroring the paper's
-//! layout) plus `results/table1_<dataset>.csv`.
+//! layout) plus `results/table1_<dataset>.csv`, and each architecture's TCL
+//! conversion as `results/table1_<dataset>_<arch>.tclk`, which
+//! `tcl_serve --model` serves.
 
 use tcl_bench::{
-    help_requested, pct, render_table, train_or_load, write_csv, write_diagnostics, DatasetKind,
-    Scale,
+    help_requested, pct, render_table, train_or_load, write_csv, write_diagnostics, write_model,
+    DatasetKind, Scale,
 };
 use tcl_core::{convert_and_evaluate_with, diagnose_conversion, Converter, NormStrategy};
 use tcl_snn::{Engine, ExitPolicy, Readout, SimConfig};
@@ -169,7 +171,8 @@ fn main() {
 
             // Per-layer conversion diagnostics for the TCL conversion: how
             // well each IF bank's firing rate tracks the clipped ANN
-            // activation at the largest latency budgets.
+            // activation at the largest latency budgets. The conversion is
+            // also written as a model file `tcl_serve --model` serves.
             let conversion = Converter::new(NormStrategy::TrainedClip)
                 .convert(&tcl_net, calibration.images())
                 .expect("tcl conversion succeeds on preset networks");
@@ -181,6 +184,13 @@ fn main() {
                 "table1_{}_{}",
                 dataset.name(),
                 arch.name().to_lowercase().replace([',', ' '], "")
+            );
+            let (c, h, w) = data.train.image_shape();
+            let model = write_model(&name, &tcl_net, &conversion, &[c, h, w]);
+            eprintln!(
+                "[model] {} TCL conversion: {}",
+                arch.name(),
+                model.display()
             );
             let path = write_diagnostics(&name, &diag);
             eprintln!(

@@ -9,7 +9,8 @@
 //! * a trained-model cache (`TCL_MODEL_DIR`, default `target/tcl-models`)
 //!   so Table 1, Figure 1, and the ablations reuse the same trained
 //!   networks: each model's training checkpoint store is its cache entry;
-//! * plain-text table formatting and CSV output under `results/`.
+//! * plain-text table formatting and CSV output under `results/`, where
+//!   converted models are written too (`<name>.tclk`, for `tcl_serve`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -306,6 +307,22 @@ pub fn write_diagnostics(name: &str, diag: &tcl_core::ConversionDiagnostics) -> 
     path
 }
 
+/// Writes a converted model (`tcl_core::save_model`) under `results/` as
+/// `<name>.tclk`, for `tcl_serve --model`, and returns the path. Panics on
+/// failure (harness context).
+pub fn write_model(
+    name: &str,
+    ann: &Network,
+    conversion: &tcl_core::Conversion,
+    sample_dims: &[usize],
+) -> PathBuf {
+    let dir = results_dir();
+    fs::create_dir_all(&dir).expect("create results dir");
+    let path = dir.join(format!("{name}.tclk"));
+    tcl_core::save_model(&path, ann, conversion, sample_dims).expect("write model file");
+    path
+}
+
 /// Renders an aligned text table: `header` then `rows`.
 pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     let cols = header.len();
@@ -356,6 +373,15 @@ pub fn write_csv(name: &str, header: &[String], rows: &[Vec<String>]) -> PathBuf
     }
     fs::write(&path, text).expect("write csv");
     path
+}
+
+/// Nearest-rank `q`-quantile of ascending `sorted` values (0 when empty).
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
 }
 
 /// Formats an accuracy as the paper prints them (`92.76%`).

@@ -65,6 +65,8 @@ pub struct Conversion {
     pub lambdas: Vec<f32>,
     /// The strategy that produced them.
     pub strategy: NormStrategy,
+    /// The IF banks' reset mode.
+    pub reset_mode: ResetMode,
 }
 
 /// Converts trained ANNs to spiking networks.
@@ -174,6 +176,7 @@ impl Converter {
                 snn,
                 lambdas: thresholds,
                 strategy: self.strategy,
+                reset_mode: self.reset_mode,
             });
         }
         let folded = fold_batch_norm(net)?;
@@ -187,6 +190,7 @@ impl Converter {
             snn,
             lambdas,
             strategy: self.strategy,
+            reset_mode: self.reset_mode,
         })
     }
 
@@ -245,7 +249,7 @@ fn record_lambda_gauges(lambdas: &[f32]) {
 }
 
 /// Rejects constructs with no spiking equivalent before any work is done.
-fn validate_convertible(net: &Network) -> Result<()> {
+pub(crate) fn validate_convertible(net: &Network) -> Result<()> {
     if net.is_empty() {
         return Err(ConvertError::Unsupported {
             detail: "empty network".into(),
@@ -316,13 +320,32 @@ fn identity_conv_weight(channels: usize) -> Tensor {
     w
 }
 
-/// Emits the spiking network from a BN-folded ANN and resolved λs.
-fn emit_spiking(folded: &Network, lambdas: &[f32], reset: ResetMode) -> Result<SpikingNetwork> {
+/// Emits the spiking network from a BN-folded ANN and one finite, positive
+/// λ per activation site ([`count_sites`]).
+pub(crate) fn emit_spiking(
+    folded: &Network,
+    lambdas: &[f32],
+    reset: ResetMode,
+) -> Result<SpikingNetwork> {
+    let sites = count_sites(folded);
+    if lambdas.len() != sites {
+        return Err(ConvertError::Calibration {
+            detail: format!(
+                "{} norm-factors for {sites} activation sites",
+                lambdas.len()
+            ),
+        });
+    }
+    if let Some(lam) = lambdas.iter().find(|l| !(l.is_finite() && **l > 0.0)) {
+        return Err(ConvertError::Calibration {
+            detail: format!("norm-factor {lam} is not finite and positive"),
+        });
+    }
     let layers = folded.layers();
     let mut nodes: Vec<SpikingNode> = Vec::new();
     let mut lam_prev = 1.0f32; // real-coded analog input is unscaled
     let mut site = 0usize;
-    let hidden_sites = lambdas.len() - 1;
+    let hidden_sites = sites - 1;
     let mut i = 0usize;
     while i < layers.len() {
         match &layers[i] {

@@ -29,6 +29,11 @@ pub enum ConvertError {
         /// Description of the problem.
         detail: String,
     },
+    /// A model file could not be read, written or accepted.
+    Model {
+        /// Description of the problem.
+        detail: String,
+    },
 }
 
 impl fmt::Display for ConvertError {
@@ -43,6 +48,7 @@ impl fmt::Display for ConvertError {
                 write!(f, "trained-clip strategy needs a clipping layer: {detail}")
             }
             ConvertError::Calibration { detail } => write!(f, "calibration error: {detail}"),
+            ConvertError::Model { detail } => write!(f, "model file: {detail}"),
         }
     }
 }

@@ -21,7 +21,8 @@
 //!    the dual-path NS/OS algebra for residual blocks (Section 5,
 //!    including the virtual identity convolution for type-A blocks).
 //! 5. **Simulate** the resulting `tcl_snn::SpikingNetwork` over a latency
-//!    grid ([`convert_and_evaluate`]).
+//!    grid ([`convert_and_evaluate`]), or save the conversion
+//!    ([`save_model`]) for `tcl_serve --model` to serve.
 //!
 //! ## Example
 //!
@@ -49,6 +50,7 @@ mod convert;
 mod diagnostics;
 mod error;
 mod fold;
+mod model;
 mod pipeline;
 mod spikenorm;
 mod stats;
@@ -57,6 +59,7 @@ pub use convert::{Conversion, Converter, NormStrategy};
 pub use diagnostics::{diagnose_conversion, ConversionDiagnostics, SiteDiagnostic};
 pub use error::{ConvertError, Result};
 pub use fold::fold_batch_norm;
+pub use model::{decode_model, encode_model, load_model, save_model, ConvertedModel};
 pub use pipeline::{
     convert_and_evaluate, convert_and_evaluate_with, train_resumable, ConversionReport,
     EngineReport,

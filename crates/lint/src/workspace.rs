@@ -45,7 +45,10 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
         ],
     ),
     ("obs", &["tcl-telemetry"]),
-    ("serve", &["tcl-tensor", "tcl-snn", "tcl-telemetry"]),
+    (
+        "serve",
+        &["tcl-tensor", "tcl-snn", "tcl-core", "tcl-telemetry"],
+    ),
     (
         "bench",
         &[

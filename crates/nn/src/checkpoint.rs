@@ -8,26 +8,15 @@
 //! run restarts **bit-exactly**: N epochs straight and N/2 + resume + N/2
 //! produce identical weights at 0 ulp.
 //!
-//! ## Container format (v3)
+//! ## File format
 //!
-//! A checkpoint file is a sectioned little-endian container:
-//!
-//! ```text
-//! magic "TCLK" | version u32 = 3 | section count u32
-//! section: tag u8 | payload length u64 | payload CRC32 u32 | payload
-//! ```
-//!
-//! | tag | section  | payload                                              |
-//! |-----|----------|------------------------------------------------------|
-//! | 1   | META     | config fingerprint u64, completed-epoch cursor u64   |
-//! | 2   | NETWORK  | layer count u32, then one tagged record per layer    |
-//! | 3   | MOMENTUM | one tensor per parameter, in `visit_params` order    |
-//! | 4   | RNG      | the shuffle RNG's four xoshiro256++ state words      |
-//! | 5   | REPORT   | per-epoch statistics accumulated so far              |
-//!
-//! Every section carries its own CRC32 (IEEE), so any single corrupted
-//! byte is either detected (CRC/bounds/magic mismatch → structured error)
-//! or provably harmless — never a panic, never a silently wrong network.
+//! A checkpoint is a TCLK container ([`crate::container`]) with a META
+//! (config fingerprint, epoch cursor), NETWORK, MOMENTUM (one tensor per
+//! parameter, in `visit_params` order), RNG (the shuffle RNG's four
+//! xoshiro256++ words) and REPORT (per-epoch statistics) section. Every
+//! section carries its own CRC32, so any single corrupted byte is either
+//! detected (CRC/bounds/magic mismatch → structured error) or provably
+//! harmless — never a panic, never a silently wrong network.
 //!
 //! ## Durability
 //!
@@ -37,11 +26,12 @@
 //! walks snapshots newest-first and falls back to the previous one when
 //! the newest fails validation.
 
-use crate::error::{NnError, Result};
-use crate::io::{
-    load_network, read_f32, read_tensor, read_u32, read_u64, read_u8, save_network, take,
-    write_f32, write_tensor, write_u32, write_u64, write_u8,
+use crate::container::{
+    container_err as ckpt_err, finish, read_f32, read_network, read_tensor, read_u32, read_u64,
+    read_u8, seal, write_f32, write_network, write_tensor, write_u32, write_u64, write_u8,
+    Sections, SEC_META, SEC_MOMENTUM, SEC_NETWORK, SEC_REPORT, SEC_RNG,
 };
+use crate::error::Result;
 use crate::network::Network;
 use crate::trainer::{EpochStats, TrainConfig, TrainReport};
 use std::fs;
@@ -49,60 +39,16 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use tcl_tensor::SeededRng;
 
-const MAGIC: &[u8; 4] = b"TCLK";
-const VERSION: u32 = 3;
+pub use crate::container::crc32;
 
-const SEC_META: u8 = 1;
-const SEC_NETWORK: u8 = 2;
-const SEC_MOMENTUM: u8 = 3;
-const SEC_RNG: u8 = 4;
-const SEC_REPORT: u8 = 5;
-
-fn ckpt_err(detail: impl Into<String>) -> NnError {
-    NnError::Checkpoint {
-        detail: detail.into(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of a byte slice — the per-section integrity check of the
-/// checkpoint container.
-///
-/// # Examples
-///
-/// ```
-/// // The classic check value for the ASCII string "123456789".
-/// assert_eq!(tcl_nn::checkpoint::crc32(b"123456789"), 0xCBF4_3926);
-/// ```
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
+/// The sections of a checkpoint file.
+const SECTIONS: &[(u8, &str)] = &[
+    (SEC_META, "META"),
+    (SEC_NETWORK, "NETWORK"),
+    (SEC_MOMENTUM, "MOMENTUM"),
+    (SEC_RNG, "RNG"),
+    (SEC_REPORT, "REPORT"),
+];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -206,16 +152,17 @@ impl TrainCheckpoint {
         write_u64(&mut meta, self.epochs_done as u64);
 
         let mut network = Vec::new();
-        save_network(&mut network, &self.network);
+        write_network(&mut network, &self.network);
 
+        let mut tensors = Vec::new();
+        let mut count = 0u32;
+        self.network.clone().visit_params(&mut |p| {
+            write_tensor(&mut tensors, &p.momentum);
+            count += 1;
+        });
         let mut momentum = Vec::new();
-        let mut buffers: Vec<tcl_tensor::Tensor> = Vec::new();
-        let mut net = self.network.clone();
-        net.visit_params(&mut |p| buffers.push(p.momentum.clone()));
-        write_u32(&mut momentum, buffers.len() as u32);
-        for t in &buffers {
-            write_tensor(&mut momentum, t);
-        }
+        write_u32(&mut momentum, count);
+        momentum.extend_from_slice(&tensors);
 
         let mut rng = Vec::new();
         for w in self.rng_state {
@@ -233,26 +180,16 @@ impl TrainCheckpoint {
             write_f32(&mut report, e.learning_rate);
         }
 
-        let sections = [
-            (SEC_META, meta),
-            (SEC_NETWORK, network),
-            (SEC_MOMENTUM, momentum),
-            (SEC_RNG, rng),
-            (SEC_REPORT, report),
-        ];
-        let mut out = MAGIC.to_vec();
-        write_u32(&mut out, VERSION);
-        write_u32(&mut out, sections.len() as u32);
-        for (tag, payload) in &sections {
-            write_u8(&mut out, *tag);
-            write_u64(&mut out, payload.len() as u64);
-            write_u32(&mut out, crc32(payload));
-            out.extend_from_slice(payload);
-        }
-        Ok(out)
+        Ok(seal(&[
+            (SEC_META, &meta),
+            (SEC_NETWORK, &network),
+            (SEC_MOMENTUM, &momentum),
+            (SEC_RNG, &rng),
+            (SEC_REPORT, &report),
+        ]))
     }
 
-    /// Parses and validates a v3 container.
+    /// Parses and validates a checkpoint file.
     ///
     /// Never panics on malformed input: every defect — truncation, bad
     /// magic, unknown tags, out-of-bounds lengths, CRC mismatches,
@@ -262,168 +199,88 @@ impl TrainCheckpoint {
     ///
     /// See above.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = bytes;
-        if take(&mut r, MAGIC.len())? != MAGIC {
-            return Err(ckpt_err("bad checkpoint magic"));
-        }
-        let version = read_u32(&mut r)?;
-        if version != VERSION {
-            return Err(ckpt_err(format!(
-                "unsupported checkpoint version {version}"
-            )));
-        }
-        let count = read_u32(&mut r)? as usize;
-        if count > 64 {
-            return Err(ckpt_err(format!("implausible section count {count}")));
-        }
+        let sections = Sections::open(bytes, SECTIONS)?;
 
-        let mut meta: Option<(u64, u64)> = None;
-        let mut network: Option<Network> = None;
-        let mut momentum: Option<Vec<tcl_tensor::Tensor>> = None;
-        let mut rng_state: Option<[u64; 4]> = None;
-        let mut report: Option<TrainReport> = None;
+        let mut p = sections.payload(SEC_META)?;
+        let config_fingerprint = read_u64(&mut p)?;
+        let epochs_done = read_u64(&mut p)?;
+        finish(p, "META")?;
 
-        for _ in 0..count {
-            let tag = read_u8(&mut r)?;
-            let len = read_u64(&mut r)? as usize;
-            let expected_crc = read_u32(&mut r)?;
-            let payload = take(&mut r, len)?;
-            let actual_crc = crc32(payload);
-            if actual_crc != expected_crc {
-                return Err(ckpt_err(format!(
-                    "section {tag} CRC mismatch ({actual_crc:08x} != {expected_crc:08x})"
-                )));
-            }
-            let mut p = payload;
-            match tag {
-                SEC_META => {
-                    if meta.is_some() {
-                        return Err(ckpt_err("duplicate META section"));
-                    }
-                    let fingerprint = read_u64(&mut p)?;
-                    let epochs_done = read_u64(&mut p)?;
-                    meta = Some((fingerprint, epochs_done));
-                }
-                SEC_NETWORK => {
-                    if network.is_some() {
-                        return Err(ckpt_err("duplicate NETWORK section"));
-                    }
-                    network = Some(load_network(&mut p)?);
-                }
-                SEC_MOMENTUM => {
-                    if momentum.is_some() {
-                        return Err(ckpt_err("duplicate MOMENTUM section"));
-                    }
-                    let n = read_u32(&mut p)? as usize;
-                    if n > 100_000 {
-                        return Err(ckpt_err(format!("implausible parameter count {n}")));
-                    }
-                    let mut buffers = Vec::with_capacity(n.min(1024));
-                    for _ in 0..n {
-                        buffers.push(read_tensor(&mut p)?);
-                    }
-                    momentum = Some(buffers);
-                }
-                SEC_RNG => {
-                    if rng_state.is_some() {
-                        return Err(ckpt_err("duplicate RNG section"));
-                    }
-                    let mut s = [0u64; 4];
-                    for w in &mut s {
-                        *w = read_u64(&mut p)?;
-                    }
-                    rng_state = Some(s);
-                }
-                SEC_REPORT => {
-                    if report.is_some() {
-                        return Err(ckpt_err("duplicate REPORT section"));
-                    }
-                    let n = read_u32(&mut p)? as usize;
-                    if n > 1_000_000 {
-                        return Err(ckpt_err(format!("implausible epoch count {n}")));
-                    }
-                    let mut epochs = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        let epoch = read_u64(&mut p)? as usize;
-                        let train_loss = read_f32(&mut p)?;
-                        let train_accuracy = read_f32(&mut p)?;
-                        let has_eval = read_u8(&mut p)?;
-                        let eval_raw = read_f32(&mut p)?;
-                        let learning_rate = read_f32(&mut p)?;
-                        let eval_accuracy = match has_eval {
-                            0 => None,
-                            1 => Some(eval_raw),
-                            other => {
-                                return Err(ckpt_err(format!("bad eval flag {other}")));
-                            }
-                        };
-                        epochs.push(EpochStats {
-                            epoch,
-                            train_loss,
-                            train_accuracy,
-                            eval_accuracy,
-                            learning_rate,
-                        });
-                    }
-                    report = Some(TrainReport { epochs });
-                }
-                other => {
-                    return Err(ckpt_err(format!("unknown section tag {other}")));
-                }
-            }
-            if !p.is_empty() {
-                return Err(ckpt_err(format!(
-                    "section {tag} has {} trailing bytes",
-                    p.len()
-                )));
-            }
-        }
-        if !r.is_empty() {
-            return Err(ckpt_err(format!(
-                "{} trailing bytes after sections",
-                r.len()
-            )));
-        }
+        let mut p = sections.payload(SEC_NETWORK)?;
+        let mut network = read_network(&mut p)?;
+        finish(p, "NETWORK")?;
 
-        let (config_fingerprint, epochs_done) =
-            meta.ok_or_else(|| ckpt_err("missing META section"))?;
-        let mut network = network.ok_or_else(|| ckpt_err("missing NETWORK section"))?;
-        let buffers = momentum.ok_or_else(|| ckpt_err("missing MOMENTUM section"))?;
-        let rng_state = rng_state.ok_or_else(|| ckpt_err("missing RNG section"))?;
-        let report = report.ok_or_else(|| ckpt_err("missing REPORT section"))?;
+        let mut p = sections.payload(SEC_MOMENTUM)?;
+        let n = read_u32(&mut p)? as usize;
+        if n > 100_000 {
+            return Err(ckpt_err(format!("implausible parameter count {n}")));
+        }
+        let mut buffers = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            buffers.push(read_tensor(&mut p)?);
+        }
+        finish(p, "MOMENTUM")?;
+
+        let mut p = sections.payload(SEC_RNG)?;
+        let mut rng_state = [0u64; 4];
+        for w in &mut rng_state {
+            *w = read_u64(&mut p)?;
+        }
+        finish(p, "RNG")?;
+
+        let mut p = sections.payload(SEC_REPORT)?;
+        let n = read_u32(&mut p)? as usize;
+        if n > 1_000_000 {
+            return Err(ckpt_err(format!("implausible epoch count {n}")));
+        }
+        let mut epochs = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            let epoch = read_u64(&mut p)? as usize;
+            let train_loss = read_f32(&mut p)?;
+            let train_accuracy = read_f32(&mut p)?;
+            let has_eval = read_u8(&mut p)?;
+            let eval_raw = read_f32(&mut p)?;
+            let learning_rate = read_f32(&mut p)?;
+            let eval_accuracy = match has_eval {
+                0 => None,
+                1 => Some(eval_raw),
+                other => return Err(ckpt_err(format!("bad eval flag {other}"))),
+            };
+            epochs.push(EpochStats {
+                epoch,
+                train_loss,
+                train_accuracy,
+                eval_accuracy,
+                learning_rate,
+            });
+        }
+        finish(p, "REPORT")?;
+        let report = TrainReport { epochs };
 
         // Install the momentum buffers, validating count and shapes against
         // the deserialized network.
-        let mut idx = 0usize;
-        let mut mismatch: Option<String> = None;
+        let (count, mut buffers) = (buffers.len(), buffers.into_iter());
+        let mut installed: Result<usize> = Ok(0);
         network.visit_params(&mut |p| {
-            if mismatch.is_some() {
-                return;
-            }
-            match buffers.get(idx) {
-                Some(m) if m.shape() == p.value.shape() => {
-                    p.momentum = m.clone();
-                }
-                Some(m) => {
-                    mismatch = Some(format!(
-                        "momentum buffer {idx} shape {:?} != parameter shape {:?}",
+            if let Ok(n) = installed {
+                installed = match buffers.next() {
+                    Some(m) if m.shape() == p.value.shape() => {
+                        p.momentum = m;
+                        Ok(n + 1)
+                    }
+                    Some(m) => Err(ckpt_err(format!(
+                        "momentum buffer {n} shape {:?} != parameter shape {:?}",
                         m.dims(),
                         p.value.dims()
-                    ));
-                }
-                None => {
-                    mismatch = Some(format!("missing momentum buffer {idx}"));
-                }
+                    ))),
+                    None => Err(ckpt_err(format!("missing momentum buffer {n}"))),
+                };
             }
-            idx += 1;
         });
-        if let Some(detail) = mismatch {
-            return Err(ckpt_err(detail));
-        }
-        if idx != buffers.len() {
+        let installed = installed?;
+        if installed != count {
             return Err(ckpt_err(format!(
-                "{} momentum buffers for {idx} parameters",
-                buffers.len()
+                "{count} momentum buffers for {installed} parameters"
             )));
         }
         if report.epochs.len() != epochs_done as usize {
@@ -664,6 +521,7 @@ mod tests {
     use crate::layer::Layer;
     use crate::layers::{Clip, Dropout, Linear, Relu};
     use crate::Mode;
+    use crate::NnError;
     use tcl_tensor::{SeededRng, Tensor};
 
     fn sample_net() -> Network {

@@ -1,9 +1,9 @@
-//! The layer codec: the payload of a checkpoint's NETWORK section.
+//! The layer codec: the payload of a TCLK file's NETWORK section.
 //!
 //! The benchmark harnesses train the same networks for several experiments
 //! (Table 1, Figure 1, the ablations) and reuse them through the checkpoint
 //! store ([`crate::checkpoint`]), whose NETWORK section is written by
-//! [`save_network`]. The codec is a small explicit little-endian binary
+//! [`write_network`]. The codec is a small explicit little-endian binary
 //! format with no external dependencies — rather than a generic serializer —
 //! so files stay stable across crate-internal refactors. It has no magic or
 //! version of its own: the container's version covers it.
@@ -13,10 +13,15 @@
 //! gradients and layer caches are reset on load.
 //!
 //! Decoding reads a CRC-checked in-memory slice. Every read goes through
-//! [`take`], so a corrupt length field fails with a format error before
-//! anything is allocated for it, and no input makes the decoder panic.
+//! [`crate::container::take`], so a corrupt length field fails with a
+//! format error before anything is allocated for it, and no input makes the
+//! decoder panic.
 
-use crate::error::{NnError, Result};
+use crate::container::{
+    format_err, read_f32, read_tensor, read_u32, read_u64, read_u8, write_f32, write_tensor,
+    write_u32, write_u64, write_u8,
+};
+use crate::error::Result;
 use crate::layer::Layer;
 use crate::layers::{
     AvgPool2d, BatchNorm2d, Clip, Conv2d, Dropout, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu,
@@ -24,99 +29,6 @@ use crate::layers::{
 };
 use crate::network::Network;
 use tcl_tensor::ops::ConvGeometry;
-use tcl_tensor::{Shape, Tensor};
-
-fn format_err(detail: impl Into<String>) -> NnError {
-    NnError::Graph {
-        detail: format!("model format: {}", detail.into()),
-    }
-}
-
-pub(crate) fn write_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn write_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn write_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-pub(crate) fn write_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Splits the next `n` bytes off the front of `r` — the one bounds check
-/// every read in the checkpoint format goes through.
-pub(crate) fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
-    if n > r.len() {
-        return Err(format_err(format!(
-            "truncated: {n} bytes wanted, {} remain",
-            r.len()
-        )));
-    }
-    let (head, rest) = r.split_at(n);
-    *r = rest;
-    Ok(head)
-}
-
-fn read_array<const N: usize>(r: &mut &[u8]) -> Result<[u8; N]> {
-    let mut bytes = [0u8; N];
-    bytes.copy_from_slice(take(r, N)?);
-    Ok(bytes)
-}
-
-pub(crate) fn read_u64(r: &mut &[u8]) -> Result<u64> {
-    Ok(u64::from_le_bytes(read_array(r)?))
-}
-
-pub(crate) fn read_u32(r: &mut &[u8]) -> Result<u32> {
-    Ok(u32::from_le_bytes(read_array(r)?))
-}
-
-pub(crate) fn read_f32(r: &mut &[u8]) -> Result<f32> {
-    Ok(f32::from_le_bytes(read_array(r)?))
-}
-
-pub(crate) fn read_u8(r: &mut &[u8]) -> Result<u8> {
-    Ok(read_array::<1>(r)?[0])
-}
-
-pub(crate) fn write_tensor(out: &mut Vec<u8>, t: &Tensor) {
-    write_u32(out, t.shape().rank() as u32);
-    for &d in t.dims() {
-        write_u32(out, d as u32);
-    }
-    for &v in t.data() {
-        write_f32(out, v);
-    }
-}
-
-pub(crate) fn read_tensor(r: &mut &[u8]) -> Result<Tensor> {
-    let rank = read_u32(r)? as usize;
-    if rank > 8 {
-        return Err(format_err(format!("implausible tensor rank {rank}")));
-    }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(read_u32(r)? as usize);
-    }
-    // Checked product: corrupt dims must yield a format error, not an
-    // overflow panic inside `Shape::len`.
-    let bytes = dims
-        .iter()
-        .try_fold(4usize, |n, &d| n.checked_mul(d))
-        .ok_or_else(|| format_err("tensor size overflows"))?;
-    // The payload must be present before anything is allocated for it, so
-    // a lying header fails here instead of reserving its claimed size.
-    let data = take(r, bytes)?
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect();
-    Ok(Tensor::from_vec(Shape::new(dims), data)?)
-}
 
 fn write_opt<T>(out: &mut Vec<u8>, v: Option<&T>, write: impl FnOnce(&mut Vec<u8>, &T)) {
     match v {
@@ -218,8 +130,9 @@ fn read_clip(r: &mut &[u8]) -> Result<Clip> {
     Ok(Clip::new(lam))
 }
 
-/// Appends a network's layer records to `out`.
-pub(crate) fn save_network(out: &mut Vec<u8>, net: &Network) {
+/// Appends a network's layer records to `out`: the NETWORK section's
+/// payload.
+pub fn write_network(out: &mut Vec<u8>, net: &Network) {
     write_u32(out, net.len() as u32);
     for layer in net.layers() {
         match layer {
@@ -282,12 +195,12 @@ pub(crate) fn save_network(out: &mut Vec<u8>, net: &Network) {
     }
 }
 
-/// Reads a network written by [`save_network`].
+/// Reads a network written by [`write_network`].
 ///
 /// # Errors
 ///
 /// Returns a graph error for a truncated or malformed layer record.
-pub(crate) fn load_network(r: &mut &[u8]) -> Result<Network> {
+pub fn read_network(r: &mut &[u8]) -> Result<Network> {
     let count = read_u32(r)?;
     // No reservation from `count`: a lying count fails at the first
     // missing record, having grown `layers` only by what was decoded.
@@ -352,18 +265,18 @@ pub(crate) fn load_network(r: &mut &[u8]) -> Result<Network> {
 mod tests {
     use super::*;
     use crate::Mode;
-    use tcl_tensor::SeededRng;
+    use tcl_tensor::{SeededRng, Tensor};
 
     fn encode(net: &Network) -> Vec<u8> {
         let mut buf = Vec::new();
-        save_network(&mut buf, net);
+        write_network(&mut buf, net);
         buf
     }
 
     fn roundtrip(net: &Network) -> Network {
         let buf = encode(net);
         let mut r = buf.as_slice();
-        let back = load_network(&mut r).unwrap();
+        let back = read_network(&mut r).unwrap();
         assert!(r.is_empty(), "decoder left {} bytes", r.len());
         back
     }
@@ -443,13 +356,13 @@ mod tests {
         )]);
         let mut buf = encode(&net);
         buf.truncate(buf.len() / 2);
-        assert!(load_network(&mut buf.as_slice()).is_err());
+        assert!(read_network(&mut buf.as_slice()).is_err());
     }
 
     #[test]
     fn unknown_layer_tag_is_rejected() {
         let buf = one_layer(&[200]); // bogus tag
-        assert!(load_network(&mut buf.as_slice()).is_err());
+        assert!(read_network(&mut buf.as_slice()).is_err());
     }
 
     #[test]
@@ -461,7 +374,7 @@ mod tests {
             // A `Clip` layer record (tag 4)…
             let mut record = vec![4];
             record.extend_from_slice(&lam.to_le_bytes());
-            let err = load_network(&mut one_layer(&record).as_slice()).unwrap_err();
+            let err = read_network(&mut one_layer(&record).as_slice()).unwrap_err();
             assert!(err.to_string().contains("clip bound"), "{lam}: {err}");
             // …and a residual block's optional clips.
             let mut buf = residual.clone();
@@ -470,7 +383,7 @@ mod tests {
                     buf[i..i + 4].copy_from_slice(&lam.to_le_bytes());
                 }
             }
-            let err = load_network(&mut buf.as_slice()).unwrap_err();
+            let err = read_network(&mut buf.as_slice()).unwrap_err();
             assert!(
                 err.to_string().contains("clip bound"),
                 "residual {lam}: {err}"
@@ -513,7 +426,7 @@ mod tests {
         record.extend_from_slice(&vec_tensor(4)); // running_var
         record.extend_from_slice(&1e-5f32.to_le_bytes());
         record.extend_from_slice(&0.1f32.to_le_bytes());
-        let err = load_network(&mut one_layer(&record).as_slice()).unwrap_err();
+        let err = read_network(&mut one_layer(&record).as_slice()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("beta length 3"), "{msg}");
     }
@@ -529,7 +442,7 @@ mod tests {
         record.extend_from_slice(&(12 * 1024u32).to_le_bytes());
         // No payload bytes at all.
         let start = std::time::Instant::now();
-        let err = load_network(&mut one_layer(&record).as_slice()).unwrap_err();
+        let err = read_network(&mut one_layer(&record).as_slice()).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
         // Failing fast is the point: reading must not attempt the full
         // claimed payload.

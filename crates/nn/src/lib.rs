@@ -46,6 +46,7 @@
 
 mod augment;
 pub mod checkpoint;
+pub mod container;
 mod error;
 mod io;
 mod layer;

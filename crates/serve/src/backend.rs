@@ -9,6 +9,7 @@
 //! step zero. The trait boundary is also where the fault-injection suite
 //! plugs in a backend that dies on command.
 
+use crate::server::{BackendFactory, ServeConfig};
 use tcl_snn::{ExitPolicy, LaneEngine, Readout, SpikingNetwork};
 use tcl_tensor::{Result, Shape, Tensor};
 
@@ -62,7 +63,7 @@ pub trait Backend {
 }
 
 /// The production backend: a [`LaneEngine`] over a spiking network.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LaneBackend {
     engine: LaneEngine,
     feat_dims: Vec<usize>,
@@ -86,6 +87,24 @@ impl LaneBackend {
             engine: LaneEngine::new(net, capacity, readout, policy)?,
             feat_dims: feat_dims.to_vec(),
         })
+    }
+
+    /// A factory of spike-count backends over `net` with `cfg`'s lanes,
+    /// sample dims and exit policy: each call returns a copy of one backend
+    /// built here, so a rebuild after a fault cannot fail.
+    ///
+    /// # Errors
+    ///
+    /// As [`LaneBackend::new`].
+    pub fn factory(net: &SpikingNetwork, cfg: &ServeConfig) -> Result<BackendFactory> {
+        let pristine = LaneBackend::new(
+            net,
+            cfg.capacity,
+            &cfg.feat_dims,
+            Readout::SpikeCount,
+            cfg.policy,
+        )?;
+        Ok(Box::new(move || Box::new(pristine.clone())))
     }
 }
 

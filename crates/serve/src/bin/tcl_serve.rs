@@ -8,15 +8,14 @@
 //! faults — lives in the library and is exercised under the virtual clock;
 //! this file only adapts it to the operating system.
 //!
-//! It serves a small built-in demo network (an identity layer over
-//! `TCL_SERVE_FEATURES` inputs, so class `k` is predicted for a sample
-//! whose `k`-th feature dominates). Real deployments construct a
-//! [`Server`] over a converted network in their own binary.
+//! It serves one converted model: `tcl_serve --model PATH` loads a model
+//! file written by `tcl_core::save_model` (the `table1` harness writes one
+//! per architecture under `results/`), rebuilds its spiking network, and
+//! takes the request sample shape from the file.
 //!
 //! Environment:
 //!
 //! * `TCL_SERVE_ADDR`  — bind address (default `127.0.0.1:8711`)
-//! * `TCL_SERVE_FEATURES` — demo model width/classes (default 4)
 //! * `TCL_SERVE_LANES` — concurrent lanes (default 8)
 //! * `TCL_SERVE_MAX_STEPS` — step budget cap (default 256)
 //! * `TCL_SERVE_TICKS` — exit after N ticks (default: run forever)
@@ -25,30 +24,15 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::ExitCode;
 
-use tcl_serve::{Backend, Clock, Connection, Io, LaneBackend, ServeConfig, Server, Transport};
-use tcl_snn::{
-    ExitPolicy, IfNeurons, Readout, ResetMode, SpikingLayer, SpikingNetwork, SpikingNode,
-    SynapticOp,
-};
-use tcl_tensor::Tensor;
+use tcl_serve::{Clock, Connection, Io, LaneBackend, ServeConfig, Server, Transport};
 
 /// Wall clock, bound at the `main()` edge only — the one sanctioned
 /// wall-clock site in this crate; the library core never sees an Instant.
-struct RealClock {
-    start: std::time::Instant,
-}
-
-impl RealClock {
-    fn new() -> Self {
-        RealClock {
-            start: std::time::Instant::now(),
-        }
-    }
-}
+struct RealClock(std::time::Instant);
 
 impl Clock for RealClock {
     fn now_us(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
+        u64::try_from(self.0.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 }
 
@@ -99,22 +83,6 @@ impl Connection for TcpConn {
     }
 }
 
-/// The demo model: one identity spiking layer, `features` in/out, so the
-/// spike-count readout predicts the dominant input feature.
-fn demo_network(features: usize) -> Option<SpikingNetwork> {
-    let mut weight = vec![0.0f32; features * features];
-    for i in 0..features {
-        weight[i * features + i] = 1.0;
-    }
-    let weight = Tensor::from_vec([features, features], weight).ok()?;
-    Some(SpikingNetwork::new(vec![SpikingNode::Spiking(
-        SpikingLayer::new(
-            SynapticOp::linear(weight, None).ok()?,
-            IfNeurons::new(1.0, ResetMode::Subtract),
-        ),
-    )]))
-}
-
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
         .ok()
@@ -122,50 +90,49 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-fn usage() {
-    println!(
-        "tcl_serve: continuous-batching SNN inference server\n\n\
-         USAGE: tcl_serve [--help]\n\n\
-         Binds TCL_SERVE_ADDR (default 127.0.0.1:8711) and serves:\n\
-           POST /infer   {{\"sample\":[...],\"deadline_us\":N}}\n\
-           GET  /healthz\n\
-           GET  /stats\n\n\
-         Env: TCL_SERVE_ADDR, TCL_SERVE_FEATURES, TCL_SERVE_LANES,\n\
-              TCL_SERVE_MAX_STEPS, TCL_SERVE_TICKS (exit after N ticks)"
-    );
-}
+const USAGE: &str = "tcl_serve: continuous-batching SNN inference server\n\n\
+     USAGE: tcl_serve --model PATH [--help]\n\n\
+     Serves the converted model in PATH (a model file written by\n\
+     tcl_core::save_model; table1 writes results/table1_<dataset>_<arch>.tclk)\n\
+     on TCL_SERVE_ADDR (default 127.0.0.1:8711):\n\
+     \x20 POST /infer   {\"sample\":[...],\"deadline_us\":N}\n\
+     \x20 GET  /healthz\n\
+     \x20 GET  /stats\n\n\
+     Env: TCL_SERVE_ADDR, TCL_SERVE_LANES, TCL_SERVE_MAX_STEPS,\n\
+     \x20    TCL_SERVE_TICKS (exit after N ticks)";
 
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "-h" || a == "--help") {
-        usage();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        // A closed pipe (`--help | grep -q`) is not an error.
+        let _ = writeln!(std::io::stdout(), "{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let features = env_usize("TCL_SERVE_FEATURES", 4).max(1);
+    let model_path = match args.as_slice() {
+        [flag, path] if flag == "--model" => std::path::PathBuf::from(path),
+        _ => {
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let lanes = env_usize("TCL_SERVE_LANES", 8).max(1);
     let max_steps = env_usize("TCL_SERVE_MAX_STEPS", 256).max(1);
     let ticks_limit = env_usize("TCL_SERVE_TICKS", 0);
     let addr = std::env::var("TCL_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:8711".to_string());
-    let Some(net) = demo_network(features) else {
-        eprintln!("[tcl-serve] failed to build demo network");
-        return ExitCode::FAILURE;
+    let model = match tcl_core::load_model(&model_path) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("[tcl-serve] {}: {e}", model_path.display());
+            return ExitCode::FAILURE;
+        }
     };
-    let cfg = ServeConfig {
-        capacity: lanes,
-        queue_depth: lanes * 4,
-        feat_dims: vec![1, features],
-        policy: ExitPolicy::Adaptive {
-            patience: 8,
-            min_margin: 2.0,
-            min_steps: 16,
-        },
-        max_steps,
-        us_per_step: 50,
-        steps_per_tick: 64,
-        max_body: 64 * 1024,
-        head_timeout_us: 2_000_000,
-        max_conns: 256,
-        max_requests_per_conn: 256,
-        idle_timeout_us: 5_000_000,
+    let cfg = ServeConfig::production(&model.sample_dims, lanes, max_steps);
+    let make_backend = match LaneBackend::factory(&model.conversion.snn, &cfg) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("[tcl-serve] {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let listener = match TcpListener::bind(&addr) {
         Ok(l) => l,
@@ -180,31 +147,12 @@ fn main() -> ExitCode {
     }
     let local = listener.local_addr().map(|a| a.to_string());
     let transport = Box::new(TcpTransport { listener });
-    let make_backend: tcl_serve::BackendFactory = Box::new(move || {
-        let backend = demo_network(features).and_then(|net| {
-            LaneBackend::new(
-                &net,
-                lanes,
-                &[1, features],
-                Readout::SpikeCount,
-                ExitPolicy::Adaptive {
-                    patience: 8,
-                    min_margin: 2.0,
-                    min_steps: 16,
-                },
-            )
-            .ok()
-        });
-        match backend {
-            Some(b) => Box::new(b) as Box<dyn Backend>,
-            None => {
-                // Construction of the demo backend is infallible in
-                // practice (static shapes); a panic here is a code bug.
-                unreachable!("demo backend construction cannot fail")
-            }
-        }
-    });
-    let mut server = match Server::new(cfg, RealClock::new(), transport, make_backend) {
+    let mut server = match Server::new(
+        cfg,
+        RealClock(std::time::Instant::now()),
+        transport,
+        make_backend,
+    ) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("[tcl-serve] {e}");
@@ -213,9 +161,11 @@ fn main() -> ExitCode {
     };
     let shown = local.unwrap_or(addr);
     eprintln!(
-        "[tcl-serve] listening on http://{shown}/ ({features} features, {lanes} lanes, demo model)"
+        "[tcl-serve] listening on http://{shown}/ ({} model {}, sample dims {:?}, {lanes} lanes)",
+        model.conversion.strategy.name(),
+        model_path.display(),
+        model.sample_dims,
     );
-    let _ = net; // the factory rebuilds its own copy
     let mut ticks = 0usize;
     loop {
         let report = server.tick();

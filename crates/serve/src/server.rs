@@ -107,6 +107,30 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
+    /// The `tcl_serve` binary's configuration: `capacity` lanes over samples
+    /// of `feat_dims`, a queue of four per lane, adaptive exit (patience 8,
+    /// margin 2, at least 16 steps) within `max_steps`, 50 µs per step.
+    pub fn production(feat_dims: &[usize], capacity: usize, max_steps: usize) -> Self {
+        ServeConfig {
+            capacity,
+            queue_depth: capacity * 4,
+            feat_dims: feat_dims.to_vec(),
+            policy: ExitPolicy::Adaptive {
+                patience: 8,
+                min_margin: 2.0,
+                min_steps: 16,
+            },
+            max_steps,
+            us_per_step: 50,
+            steps_per_tick: 64,
+            max_body: 64 * 1024,
+            head_timeout_us: 2_000_000,
+            max_conns: 256,
+            max_requests_per_conn: 256,
+            idle_timeout_us: 5_000_000,
+        }
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors

@@ -117,8 +117,8 @@ impl ClientHandle {
 /// Splits a byte stream of back-to-back HTTP responses into complete
 /// `(status, body)` pairs, honoring `Content-Length` (responses the
 /// server emits always carry one). A trailing partial response is
-/// dropped.
-fn split_responses(stream: &[u8]) -> Vec<(u16, String)> {
+/// dropped. Real-socket clients read through it too.
+pub fn split_responses(stream: &[u8]) -> Vec<(u16, String)> {
     let mut out = Vec::new();
     let mut rest = stream;
     while let Some((head_len, term_len)) = find_head_end(rest) {

@@ -32,7 +32,7 @@ pub const ADAPTIVE: ExitPolicy = ExitPolicy::Adaptive {
 
 /// One identity spiking layer, `features` in/out: the spike-count readout
 /// predicts the dominant input feature.
-pub fn identity_net(features: usize) -> SpikingNetwork {
+pub fn diagonal_net(features: usize) -> SpikingNetwork {
     let mut weight = vec![0.0f32; features * features];
     for i in 0..features {
         weight[i * features + i] = 1.0;

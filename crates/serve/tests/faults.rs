@@ -9,7 +9,7 @@ mod common;
 use std::cell::Cell;
 use std::rc::Rc;
 
-use common::{body_bool, body_field, drive, identity_net, lane_factory, serve_cfg};
+use common::{body_bool, body_field, diagonal_net, drive, lane_factory, serve_cfg};
 use tcl_serve::sim::{get_request_keep_alive, infer_request, pipelined, Chunk, SimNet};
 use tcl_serve::{Backend, Completion, Server, VirtualClock};
 use tcl_snn::Readout;
@@ -19,7 +19,7 @@ use tcl_tensor::{Result, TensorError};
 /// must not affect its neighbours or leak server state.
 #[test]
 fn mid_request_disconnect_leaves_other_lanes_running() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let cfg = serve_cfg(4, 2);
     let clock = VirtualClock::new();
     let sim = SimNet::new(&clock);
@@ -71,7 +71,7 @@ fn mid_request_disconnect_leaves_other_lanes_running() {
 /// with a 408 — it cannot hold a connection slot indefinitely.
 #[test]
 fn slow_loris_is_timed_out_not_served_forever() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 2);
     cfg.head_timeout_us = 2_000;
     let clock = VirtualClock::new();
@@ -111,7 +111,7 @@ fn slow_loris_is_timed_out_not_served_forever() {
 /// accumulation — the server never buffers them to completion.
 #[test]
 fn oversized_requests_are_rejected_early() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 2);
     cfg.max_body = 256;
     let clock = VirtualClock::new();
@@ -143,7 +143,7 @@ fn oversized_requests_are_rejected_early() {
 /// client did nothing wrong.
 #[test]
 fn idle_keep_alive_connection_is_reaped_silently() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 2);
     cfg.idle_timeout_us = 3_000;
     let clock = VirtualClock::new();
@@ -177,7 +177,7 @@ fn idle_keep_alive_connection_is_reaped_silently() {
 /// pipelined requests.
 #[test]
 fn request_cap_closes_the_connection() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 2);
     cfg.max_requests_per_conn = 2;
     let clock = VirtualClock::new();
@@ -212,7 +212,7 @@ fn request_cap_closes_the_connection() {
 /// mid-response.
 #[test]
 fn keep_alive_hangup_between_requests_is_a_clean_close() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let cfg = serve_cfg(4, 2);
     let clock = VirtualClock::new();
     let sim = SimNet::new(&clock);
@@ -244,7 +244,7 @@ fn keep_alive_hangup_between_requests_is_a_clean_close() {
 /// duplicate Content-Length, and GET-with-body are all rejected with 400.
 #[test]
 fn header_edge_cases_through_the_full_server_path() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let cfg = serve_cfg(4, 2);
     let clock = VirtualClock::new();
     let sim = SimNet::new(&clock);
@@ -330,7 +330,7 @@ impl Backend for FlakyBackend {
 /// Runs two concurrent requests, optionally killing the engine mid-flight,
 /// and returns (pred, steps, early) per client plus the fault count.
 fn run_engine_fault_scenario(fail_at_step: Option<u64>) -> (Vec<(f64, f64, bool)>, u64) {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 2);
     cfg.steps_per_tick = 4;
     let clock = VirtualClock::new();
@@ -400,7 +400,7 @@ fn killed_engine_worker_recovers_with_identical_answers() {
 /// not hang the connection or the server.
 #[test]
 fn truncated_body_answers_4xx_within_timeout() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 2);
     cfg.head_timeout_us = 2_000;
     let clock = VirtualClock::new();
@@ -431,7 +431,7 @@ fn truncated_body_answers_4xx_within_timeout() {
 fn fault_counters_reach_the_telemetry_registry() {
     let ((), _lines) = tcl_telemetry::test_support::with_captured(|| {
         tcl_telemetry::test_support::reset_metrics();
-        let net = identity_net(4);
+        let net = diagonal_net(4);
         let mut cfg = serve_cfg(4, 2);
         cfg.head_timeout_us = 2_000;
         cfg.max_body = 256;

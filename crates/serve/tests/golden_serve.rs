@@ -19,7 +19,7 @@ mod common;
 
 use std::path::PathBuf;
 
-use common::{drive, identity_net, lane_factory, serve_cfg};
+use common::{diagonal_net, drive, lane_factory, serve_cfg};
 use tcl_obs::{critical, summary, SpanNode, SpanTree, Trace};
 use tcl_serve::sim::{infer_request, SimNet};
 use tcl_serve::{Server, VirtualClock};
@@ -36,7 +36,7 @@ fn fixture(name: &str) -> PathBuf {
 /// admitted mid-tick into B's freed lane. Returns the captured JSONL.
 fn capture_scenario() -> Vec<String> {
     let ((), lines) = tcl_telemetry::test_support::with_captured(|| {
-        let net = identity_net(4);
+        let net = diagonal_net(4);
         let mut cfg = serve_cfg(4, 2);
         // One tick is enough engine budget to play the whole scenario out.
         cfg.steps_per_tick = 256;

@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use common::{
-    body_field, drive, identity_net, lane_factory, serve_cfg, solo_lane_output, RecordingBackend,
+    body_field, diagonal_net, drive, lane_factory, serve_cfg, solo_lane_output, RecordingBackend,
     ADAPTIVE,
 };
 use tcl_serve::sim::{infer_request, infer_request_keep_alive, pipelined, SimNet};
@@ -54,7 +54,7 @@ fn argmax(row: &[f32]) -> usize {
 fn continuous_batching_beats_back_to_back_half_batches() {
     let samples = mixed_samples();
     let labels: Vec<usize> = samples.iter().map(|s| argmax(s)).collect();
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 4);
     cfg.steps_per_tick = 8;
 
@@ -149,7 +149,7 @@ fn continuous_batching_beats_back_to_back_half_batches() {
 /// overruns the queue. Returns the per-client fingerprint
 /// (`status@closed_at#completion_index`) and the final counters.
 fn open_loop_scenario() -> (String, ServeStats) {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 2);
     cfg.queue_depth = 2;
     cfg.max_steps = 40;
@@ -231,7 +231,7 @@ fn open_loop_arrivals_are_bitwise_reproducible() {
 /// idle lanes, generous deadlines, zero misses, zero sheds.
 #[test]
 fn deadline_misses_are_exactly_zero_below_admission_threshold() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 2);
     cfg.max_steps = 40;
     cfg.steps_per_tick = 4;
@@ -276,7 +276,7 @@ fn deadline_misses_are_exactly_zero_below_admission_threshold() {
 /// hopeless-queue sweep) must land *before* the deadline it failed.
 #[test]
 fn every_shed_request_is_answered_before_its_deadline() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 1);
     cfg.queue_depth = 1;
     cfg.policy = tcl_snn::ExitPolicy::Off;
@@ -337,7 +337,7 @@ fn pipelined_keep_alive_matches_solo_connections_bitwise() {
     let samples = mixed_samples();
     // Four confident samples with distinct predictions 0..=3.
     let picks: Vec<&Vec<f32>> = vec![&samples[1], &samples[2], &samples[3], &samples[4]];
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let cfg = serve_cfg(4, 2);
 
     let run = |pipeline: bool| -> (Vec<Completion>, Vec<(u16, String)>, ServeStats) {
@@ -412,7 +412,7 @@ fn pipelined_keep_alive_matches_solo_connections_bitwise() {
 /// queued *second* — FIFO would serve them in arrival order.
 #[test]
 fn edf_admission_serves_urgent_queued_requests_first() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 1);
     cfg.queue_depth = 4;
     cfg.policy = tcl_snn::ExitPolicy::Off;
@@ -446,7 +446,7 @@ fn edf_admission_serves_urgent_queued_requests_first() {
 /// The read-only endpoints answer over the simulated transport.
 #[test]
 fn health_and_stats_endpoints_respond() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let cfg = serve_cfg(4, 2);
     let clock = VirtualClock::new();
     let sim = SimNet::new(&clock);
@@ -472,7 +472,7 @@ fn health_and_stats_endpoints_respond() {
 /// Hangup scripted after the response: the server must have already closed.
 #[test]
 fn drain_refuses_new_work_but_finishes_in_flight() {
-    let net = identity_net(4);
+    let net = diagonal_net(4);
     let mut cfg = serve_cfg(4, 2);
     cfg.steps_per_tick = 2;
     let clock = VirtualClock::new();

@@ -34,7 +34,8 @@ use crate::network::{Drive, SpikingNetwork};
 use crate::node::SpikingNode;
 use crate::sim::Readout;
 use crate::trace::MarginTrace;
-use tcl_tensor::{Result, Shape, Tensor, TensorError};
+use std::borrow::Cow;
+use tcl_tensor::{par, Result, Shape, Tensor, TensorError};
 
 /// Identifier of a submitted sample, unique within one [`LaneEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -78,9 +79,9 @@ struct Lane {
 /// the module docs).
 ///
 /// Single-threaded by design: the serving loop owns it and drives it from
-/// one thread; kernel-level fan-out inside [`SpikingNetwork::step`] still
-/// engages the process thread pool (`TCL_THREADS`) with bitwise-identical
-/// results for every worker count.
+/// one thread, and [`LaneEngine::submit`] and [`LaneEngine::step`] run in a
+/// [`par::with_serial`] scope, so no kernel below them spawns threads: at
+/// serving batch sizes a per-call fan-out costs more than it computes.
 #[derive(Debug, Clone)]
 pub struct LaneEngine {
     net: SpikingNetwork,
@@ -97,6 +98,8 @@ pub struct LaneEngine {
     stimulus: Option<Drive<'static>>,
     /// Accumulated output spike counts, `lanes.len() × classes` row-major.
     counts: Vec<f32>,
+    /// The rows a step keeps, reused from step to step.
+    keep: Vec<usize>,
     /// Output classes; 0 until the first step discovers the output width.
     classes: usize,
     next_id: u64,
@@ -144,6 +147,7 @@ impl LaneEngine {
             sample_dims: None,
             stimulus: None,
             counts: Vec::new(),
+            keep: Vec::new(),
             classes: 0,
             next_id: 0,
             engine_steps: 0,
@@ -216,7 +220,8 @@ impl LaneEngine {
             dims => dims,
         };
         let one: Vec<usize> = std::iter::once(1).chain(dims.iter().copied()).collect();
-        self.admit(&sample.reshape(Shape::new(one))?, budget, true)
+        let sample = sample.reshape(Shape::new(one))?;
+        par::with_serial(|| self.admit(&sample, budget, true))
     }
 
     /// Admits every row of `batch` (`[rows, ...]`) as a lane with step
@@ -290,12 +295,14 @@ impl LaneEngine {
     /// Propagates network shape errors. On error the session should be
     /// considered poisoned (the serving layer rebuilds it and re-submits).
     pub fn step(&mut self) -> Result<Vec<LaneOutput>> {
-        // Set by the admission of the first active lane.
-        let Some(stimulus) = self.stimulus.as_ref().filter(|_| !self.lanes.is_empty()) else {
-            return Ok(Vec::new());
-        };
-        let spikes = self.net.step_driven(stimulus)?;
-        self.advance(&spikes)
+        par::with_serial(|| {
+            // Set by the admission of the first active lane.
+            let Some(stimulus) = self.stimulus.as_ref().filter(|_| !self.lanes.is_empty()) else {
+                return Ok(Vec::new());
+            };
+            let spikes = self.net.step_driven(stimulus)?;
+            self.advance(&spikes)
+        })
     }
 
     /// [`LaneEngine::step`] on `input`, the active lanes' stimulus for this
@@ -337,9 +344,11 @@ impl LaneEngine {
         // Score every step under the adaptive policy (the margin machinery
         // needs it); under Off only when some lane completes its budget.
         let budget_due = self.lanes.iter().any(|l| l.age + 1 >= l.budget);
-        let scores = (adaptive || budget_due).then(|| self.scores());
+        let scores =
+            (adaptive || budget_due).then(|| readout_scores(self.readout, &self.counts, &self.net));
         let mut retired = Vec::new();
-        let mut keep = Vec::with_capacity(active);
+        let mut keep = std::mem::take(&mut self.keep);
+        keep.clear();
         for (p, lane) in self.lanes.iter_mut().enumerate() {
             lane.age += 1;
             let t = lane.age;
@@ -378,34 +387,18 @@ impl LaneEngine {
                 keep.push(p);
             }
         }
+        drop(scores);
         if !retired.is_empty() {
             self.compact(&keep)?;
         }
+        self.keep = keep;
         Ok(retired)
-    }
-
-    /// Readout scores for all active lanes, `active × classes` row-major:
-    /// `counts` for spike-count readout, `counts·V_thr + V` for membrane.
-    fn scores(&self) -> Vec<f32> {
-        match self.readout {
-            Readout::SpikeCount => self.counts.clone(),
-            Readout::Membrane => {
-                let thr = self.net.output_threshold().unwrap_or(1.0);
-                let mut s: Vec<f32> = self.counts.iter().map(|c| c * thr).collect();
-                if let Some(v) = self.net.output_potential() {
-                    for (si, vi) in s.iter_mut().zip(v.data()) {
-                        *si += vi;
-                    }
-                }
-                s
-            }
-        }
     }
 
     /// Each active lane's id and top-1 class under the current readout, in
     /// lane order: an anytime read between steps.
     pub(crate) fn active_preds(&self) -> Vec<(LaneId, usize)> {
-        let scores = self.scores();
+        let scores = readout_scores(self.readout, &self.counts, &self.net);
         self.lanes
             .iter()
             .zip(scores.chunks_exact(self.classes.max(1)))
@@ -456,6 +449,24 @@ impl LaneEngine {
         self.lanes.truncate(keep.len());
         self.counts.truncate(keep.len() * c);
         Ok(())
+    }
+}
+
+/// Readout scores for all active lanes, `active × classes` row-major:
+/// `counts` itself for spike-count readout, `counts·V_thr + V` for membrane.
+fn readout_scores<'a>(readout: Readout, counts: &'a [f32], net: &SpikingNetwork) -> Cow<'a, [f32]> {
+    match readout {
+        Readout::SpikeCount => Cow::Borrowed(counts),
+        Readout::Membrane => {
+            let thr = net.output_threshold().unwrap_or(1.0);
+            let mut s: Vec<f32> = counts.iter().map(|c| c * thr).collect();
+            if let Some(v) = net.output_potential() {
+                for (si, vi) in s.iter_mut().zip(v.data()) {
+                    *si += vi;
+                }
+            }
+            Cow::Owned(s)
+        }
     }
 }
 

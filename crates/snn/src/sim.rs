@@ -290,7 +290,7 @@ mod input_coding_tests {
     use crate::node::{SpikingLayer, SpikingNode};
     use crate::synop::SynapticOp;
 
-    fn identity_net() -> SpikingNetwork {
+    fn diagonal_net() -> SpikingNetwork {
         SpikingNetwork::new(vec![SpikingNode::Spiking(SpikingLayer::new(
             SynapticOp::linear(
                 Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap(),
@@ -314,7 +314,7 @@ mod input_coding_tests {
         let cfg = SimConfig::new(vec![400], 4, Readout::SpikeCount)
             .unwrap()
             .with_input_coding(InputCoding::Poisson { seed: 7 });
-        let result = evaluate(&identity_net(), &x, &y, &cfg).unwrap();
+        let result = evaluate(&diagonal_net(), &x, &y, &cfg).unwrap();
         assert_eq!(result.final_accuracy(), 1.0, "{result:?}");
     }
 
@@ -324,8 +324,8 @@ mod input_coding_tests {
         let cfg = SimConfig::new(vec![50], 2, Readout::SpikeCount)
             .unwrap()
             .with_input_coding(InputCoding::Poisson { seed: 3 });
-        let a = evaluate(&identity_net(), &x, &y, &cfg).unwrap();
-        let b = evaluate(&identity_net(), &x, &y, &cfg).unwrap();
+        let a = evaluate(&diagonal_net(), &x, &y, &cfg).unwrap();
+        let b = evaluate(&diagonal_net(), &x, &y, &cfg).unwrap();
         assert_eq!(a.accuracies, b.accuracies);
         assert_eq!(a.total_spikes, b.total_spikes);
     }
@@ -340,8 +340,8 @@ mod input_coding_tests {
         let poisson_cfg = SimConfig::new(vec![10], 4, Readout::SpikeCount)
             .unwrap()
             .with_input_coding(InputCoding::Poisson { seed: 11 });
-        let analog = evaluate(&identity_net(), &x, &y, &analog_cfg).unwrap();
-        let poisson = evaluate(&identity_net(), &x, &y, &poisson_cfg).unwrap();
+        let analog = evaluate(&diagonal_net(), &x, &y, &analog_cfg).unwrap();
+        let poisson = evaluate(&diagonal_net(), &x, &y, &poisson_cfg).unwrap();
         assert!(analog.final_accuracy() >= poisson.final_accuracy() - 0.25);
     }
 

@@ -4,7 +4,9 @@
 //! with both norm strategies, sweeps the SNN through the engine, and renders
 //! the numbers that define the reproduction — per-layer λ, ANN accuracy, and
 //! SNN accuracy at each checkpoint — into a canonical text form compared
-//! byte-for-byte against `tests/golden/*.json`.
+//! byte-for-byte against `tests/golden/*.json`. Each conversion is also
+//! saved as a model file, reloaded, and evaluated again: the reloaded
+//! network must render the same bytes.
 //!
 //! Everything in the pipeline is deterministic (seeded data generation,
 //! seeded init, bitwise thread-count-invariant kernels), so any drift in
@@ -23,7 +25,9 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use tcl_core::{convert_and_evaluate_with, Converter, EngineReport, NormStrategy};
+use tcl_core::{
+    convert_and_evaluate_with, load_model, save_model, Converter, EngineReport, NormStrategy,
+};
 use tcl_data::{SynthSpec, SynthVision};
 use tcl_models::{Architecture, ModelConfig};
 use tcl_nn::{train, TrainConfig};
@@ -37,8 +41,10 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
 }
 
-/// The mini Table-1 workload: train once, convert with each strategy.
-fn mini_pipeline() -> Vec<(&'static str, EngineReport)> {
+/// The mini Table-1 workload: train once, convert with each strategy. Each
+/// strategy yields the pipeline's report and the report of the same
+/// conversion after a round trip through a model file.
+fn mini_pipeline() -> Vec<(&'static str, EngineReport, EngineReport)> {
     let spec = SynthSpec::cifar10_like().scaled(0.2);
     let data = SynthVision::generate(&spec, SEED).expect("generate data");
     let (c, h, w) = data.train.image_shape();
@@ -64,18 +70,42 @@ fn mini_pipeline() -> Vec<(&'static str, EngineReport)> {
         ("tcl", NormStrategy::TrainedClip),
         ("max_norm", NormStrategy::MaxActivation),
     ] {
+        let converter = Converter::new(strategy);
         let report = convert_and_evaluate_with(
             &mut engine,
             &mut net,
             calibration.images(),
             data.test.images(),
             data.test.labels(),
-            &Converter::new(strategy),
+            &converter,
             &sim,
             ExitPolicy::Off,
         )
         .expect("pipeline");
-        reports.push((name, report));
+        let conversion = converter
+            .convert(&net, calibration.images())
+            .expect("convert");
+        let path =
+            std::env::temp_dir().join(format!("tcl-golden-{name}-{}.tclk", std::process::id()));
+        save_model(&path, &net, &conversion, &[c, h, w]).expect("save model");
+        let model = load_model(&path).expect("load model");
+        let _ = std::fs::remove_file(&path);
+        let result = engine
+            .evaluate(
+                &model.conversion.snn,
+                data.test.images(),
+                data.test.labels(),
+                &sim,
+                ExitPolicy::Off,
+            )
+            .expect("evaluate the reloaded model");
+        let reloaded = EngineReport {
+            ann_accuracy: report.ann_accuracy,
+            result,
+            lambdas: model.conversion.lambdas,
+            strategy_name: report.strategy_name.clone(),
+        };
+        reports.push((name, report, reloaded));
     }
     reports
 }
@@ -155,7 +185,7 @@ fn mini_table1_matches_golden_snapshots() {
     let bless = std::env::var("TCL_BLESS").is_ok_and(|v| v == "1");
     let dir = golden_dir();
     let mut drift = String::new();
-    for (name, report) in mini_pipeline() {
+    for (name, report, reloaded) in mini_pipeline() {
         // Basic sanity before trusting the snapshot at all: the TCL
         // conversion must actually work on this workload.
         if name == "tcl" {
@@ -188,6 +218,14 @@ fn mini_table1_matches_golden_snapshots() {
         });
         if expected != rendered {
             drift.push_str(&render_diff(&file, &expected, &rendered));
+        }
+        let reloaded = canonical(name, &reloaded);
+        if expected != reloaded {
+            drift.push_str(&render_diff(
+                &format!("{file} (reloaded model)"),
+                &expected,
+                &reloaded,
+            ));
         }
     }
     assert!(drift.is_empty(), "{drift}");

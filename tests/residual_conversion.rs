@@ -181,3 +181,37 @@ fn strided_projection_blocks_convert_and_run() {
     }
     assert!(snn.total_spikes() > 0);
 }
+
+#[test]
+fn resnet_conversion_reloads_node_for_node() {
+    use tcl_models::{Architecture, ModelConfig};
+    let mut rng = SeededRng::new(41);
+    let cfg = ModelConfig::new((3, 8, 8), 4)
+        .with_base_width(2)
+        .with_clip_lambda(Some(2.0));
+    let mut net = Architecture::ResNet18.build(&cfg, &mut rng).unwrap();
+    // Batch-norm statistics away from their initial values, so folding
+    // moves every weight and bias.
+    let x = rng.uniform_tensor([8, 3, 8, 8], -1.0, 1.0);
+    for _ in 0..3 {
+        net.forward(&x, Mode::Train).unwrap();
+    }
+    let conversion = Converter::new(NormStrategy::TrainedClip)
+        .convert(&net, &x)
+        .unwrap();
+    let path = std::env::temp_dir().join(format!("tcl-resnet-{}.tclk", std::process::id()));
+    tcl_core::save_model(&path, &net, &conversion, &[3, 8, 8]).unwrap();
+    let model = tcl_core::load_model(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+
+    let (nodes, reloaded) = (conversion.snn.nodes(), model.conversion.snn.nodes());
+    assert_eq!(nodes.len(), reloaded.len());
+    assert!(nodes.iter().any(|n| n.kind_name() == "residual"));
+    for (i, (a, b)) in nodes.iter().zip(reloaded).enumerate() {
+        // `Debug` prints every weight, bias, threshold and NS/OS tap in its
+        // shortest round-trip form: equal text is equal bits without NaNs.
+        let (a, b) = (format!("{a:?}"), format!("{b:?}"));
+        assert!(!a.contains("NaN"), "node {i}");
+        assert!(a == b, "node {i} differs after a reload");
+    }
+}
