@@ -227,8 +227,9 @@ done
 serve_help=$(./target/release/tcl_serve --help)
 if ! printf '%s\n' "$serve_help" | grep -q -- '--model' \
     || ! printf '%s\n' "$serve_help" | grep -q TCL_SERVE_ADDR \
+    || ! printf '%s\n' "$serve_help" | grep -q /metrics \
     || printf '%s\n' "$serve_help" | grep -q TCL_SERVE_FEATURES; then
-  echo "FAIL: tcl_serve --help must name --model and TCL_SERVE_ADDR, and not TCL_SERVE_FEATURES" >&2
+  echo "FAIL: tcl_serve --help must name --model, TCL_SERVE_ADDR and /metrics, and not TCL_SERVE_FEATURES" >&2
   printf '%s\n' "$serve_help" >&2
   exit 1
 fi
@@ -248,7 +249,8 @@ echo "==> tcl-serve: loopback soak (converted cnn6, real sockets, reused connect
 # asserting zero parse errors, sheds-within-deadline, and every 200 answer
 # equal to Engine::evaluate_shared, and comparing p50/p99/shed against the
 # virtual-clock prediction. Includes the duplicate-Content-Length negative
-# control (smuggling shape -> 400) and an in-order pipelining probe.
+# control (smuggling shape -> 400) and an in-order pipelining probe that
+# includes GET /metrics.
 soak_dir=target/ci-soak
 rm -rf "$soak_dir"
 soak_out=$(TCL_SCALE=quick TCL_RESULTS_DIR="$soak_dir" \

@@ -321,8 +321,8 @@ fn main() {
     let exporter_pct = Spread::of(overhead(exporter, metrics));
     let span_ns = Spread::of(field(off, "disabled_span_ns")).median;
     let counter_ns = Spread::of(field(off, "disabled_counter_ns")).median;
-    let scrape_p50 = Spread::of(field(exporter, "scrape_p50_us")).median;
-    let scrape_p99 = Spread::of(field(exporter, "scrape_p99_us")).median;
+    let scrape_p50 = Spread::of(field(exporter, "scrape_p50_us"));
+    let scrape_p99 = Spread::of(field(exporter, "scrape_p99_us"));
     let trace_bytes = Spread::of(field(trace, "trace_bytes")).median;
 
     println!("\nmedians over {ROUNDS} rounds (interquartile range in brackets)");
@@ -340,9 +340,7 @@ fn main() {
         wall[exporter], exporter_pct
     );
     println!("disabled span {span_ns:.2} ns/op, disabled counter {counter_ns:.2} ns/op");
-    println!(
-        "scrape latency p50 {scrape_p50:.1} us, p99 {scrape_p99:.1} us over {SCRAPES} scrapes"
-    );
+    println!("scrape latency p50 {scrape_p50} us, p99 {scrape_p99} us over {SCRAPES} scrapes");
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -390,12 +388,17 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"exporter\": {{ \"wall_ms\": {:.1}, \"overhead_pct_vs_metrics\": {:.2}, \
-         \"scrapes\": {SCRAPES}, \"scrape_p50_us\": {scrape_p50:.1}, \"scrape_p99_us\": {scrape_p99:.1}, \
-         \"wall_ms_iqr\": {}, \"overhead_pct_iqr\": {} }},",
+         \"scrapes\": {SCRAPES}, \"scrape_p50_us\": {:.1}, \"scrape_p99_us\": {:.1}, \
+         \"wall_ms_iqr\": {}, \"overhead_pct_iqr\": {}, \"scrape_p50_us_iqr\": {}, \
+         \"scrape_p99_us_iqr\": {} }},",
         wall[exporter].median,
         exporter_pct.median,
+        scrape_p50.median,
+        scrape_p99.median,
         wall[exporter].iqr_json(1),
         exporter_pct.iqr_json(2),
+        scrape_p50.iqr_json(1),
+        scrape_p99.iqr_json(1),
     );
     let _ = writeln!(
         json,

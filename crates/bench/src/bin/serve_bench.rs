@@ -378,8 +378,9 @@ fn run_soak(scale: Scale) {
     let soak_wall_s = start.elapsed().as_secs_f64();
 
     // The negative probe: duplicate Content-Length must answer 400. The
-    // pipelining probe: three requests written in one burst must come back
-    // as three in-order responses on the same connection.
+    // pipelining probe: four requests written in one burst (`/metrics`
+    // among them) must come back as four in-order responses on the same
+    // connection.
     let dup_status = probe(
         port,
         b"POST /infer HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc",
@@ -388,8 +389,9 @@ fn run_soak(scale: Scale) {
     let pipeline_statuses = probe(
         port,
         b"GET /healthz HTTP/1.1\r\nHost: soak\r\n\r\nGET /stats HTTP/1.1\r\nHost: soak\r\n\r\n\
+          GET /metrics HTTP/1.1\r\nHost: soak\r\n\r\n\
           GET /healthz HTTP/1.1\r\nHost: soak\r\nConnection: close\r\n\r\n",
-        3,
+        4,
     );
     let _ = child.kill();
     let _ = child.wait();
@@ -495,7 +497,7 @@ fn run_soak(scale: Scale) {
     assert_eq!(dup, vec![400], "duplicate Content-Length must be rejected");
     println!("soak: duplicate-Content-Length probe -> 400");
     let pipe = pipeline_statuses.expect("pipelining probe got responses");
-    assert_eq!(pipe, vec![200, 200, 200], "pipelined responses in order");
+    assert_eq!(pipe, vec![200; 4], "pipelined responses in order");
     println!("soak: pipelined burst answered in order -> {pipe:?}");
     println!("\nsoak OK");
 }

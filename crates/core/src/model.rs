@@ -26,9 +26,10 @@ use tcl_nn::container::{
     finish, read_f32, read_network, read_u32, read_u8, seal, write_f32, write_network, write_u32,
     write_u8, Sections, SEC_CONVERSION, SEC_NETWORK,
 };
-use tcl_nn::layers::Shortcut;
+use tcl_nn::layers::{AvgPool2d, BatchNorm2d, Conv2d, MaxPool2d, Shortcut};
 use tcl_nn::{Layer, Network, NnError};
 use tcl_snn::ResetMode;
+use tcl_tensor::ops::ConvGeometry;
 
 /// The sections of a model file.
 const SECTIONS: &[(u8, &str)] = &[(SEC_NETWORK, "NETWORK"), (SEC_CONVERSION, "CONVERSION")];
@@ -51,7 +52,7 @@ fn model_err(detail: impl Into<String>) -> ConvertError {
 
 /// Emits the spiking network of `ann` under `lambdas`, for samples of
 /// `sample_dims`: a shape with no zero dim and a product that fits a
-/// `usize`. A sample the network then rejects fails at admission.
+/// `usize`, which every layer of `ann` accepts ([`layer_output`]).
 fn rebuild(
     ann: &Network,
     lambdas: &[f32],
@@ -81,7 +82,76 @@ fn rebuild(
             }
         }
     }
+    let mut dims = sample_dims.to_vec();
+    for (i, layer) in ann.layers().iter().enumerate() {
+        dims = layer_output(layer, &dims).map_err(|why| {
+            model_err(format!(
+                "sample dims {sample_dims:?} do not fit layer {i} ({}): {why}",
+                layer.kind_name()
+            ))
+        })?;
+    }
     emit_spiking(&fold_batch_norm(ann)?, lambdas, reset)
+}
+
+/// The dims one sample has after `layer`, given the dims it has before
+/// (no batch dim), or why the layer refuses them: the shape rules of each
+/// layer's forward pass, in arithmetic only, so a file claiming huge dims
+/// costs nothing to check.
+fn layer_output(layer: &Layer, dims: &[usize]) -> std::result::Result<Vec<usize>, String> {
+    // `dims` as (C, H, W), with `want` channels if given.
+    let chw = |dims: &[usize], want: Option<usize>| match *dims {
+        [c, h, w] if want.is_none_or(|want| want == c) => Ok((c, h, w)),
+        _ => Err(format!(
+            "needs [{}, H, W], got {dims:?}",
+            want.map_or("C".into(), |c| c.to_string())
+        )),
+    };
+    let window = |g: ConvGeometry, c: usize, (_, h, w): (usize, usize, usize)| {
+        let (oh, ow) = g.output_hw(h, w).map_err(|e| e.to_string())?;
+        Ok::<_, String>(vec![c, oh, ow])
+    };
+    let conv = |l: &Conv2d, dims: &[usize]| {
+        window(l.geom, l.out_channels(), chw(dims, Some(l.in_channels()))?)
+    };
+    let norm = |bn: Option<&BatchNorm2d>, dims: &[usize]| {
+        bn.map_or(Ok(()), |bn| chw(dims, Some(bn.channels())).map(drop))
+    };
+    Ok(match layer {
+        Layer::Conv2d(l) => conv(l, dims)?,
+        Layer::BatchNorm2d(bn) => norm(Some(bn), dims).map(|()| dims.to_vec())?,
+        Layer::AvgPool2d(AvgPool2d { kernel, stride, .. })
+        | Layer::MaxPool2d(MaxPool2d { kernel, stride, .. }) => {
+            let geom = ConvGeometry::square(*kernel, *stride, 0).map_err(|e| e.to_string())?;
+            let planes = chw(dims, None)?;
+            window(geom, planes.0, planes)?
+        }
+        Layer::GlobalAvgPool(_) => vec![chw(dims, None)?.0, 1, 1],
+        Layer::Flatten(_) => {
+            let len = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+            vec![len.ok_or_else(|| format!("{dims:?} has more elements than a usize holds"))?]
+        }
+        Layer::Linear(l) if dims == [l.in_features()] => vec![l.out_features()],
+        Layer::Linear(l) => return Err(format!("needs [{}], got {dims:?}", l.in_features())),
+        Layer::Relu(_) | Layer::Clip(_) | Layer::Dropout(_) => dims.to_vec(),
+        Layer::Residual(block) => {
+            let inner = conv(&block.conv1, dims)?;
+            norm(block.bn1.as_ref(), &inner)?;
+            let path = conv(&block.conv2, &inner)?;
+            norm(block.bn2.as_ref(), &path)?;
+            let shortcut = match &block.shortcut {
+                Shortcut::Identity => dims.to_vec(),
+                Shortcut::Projection { conv: sc, bn } => {
+                    let shortcut = conv(sc, dims)?;
+                    norm(bn.as_ref(), &shortcut).map(|()| shortcut)?
+                }
+            };
+            if path != shortcut {
+                return Err(format!("path {path:?} cannot add to shortcut {shortcut:?}"));
+            }
+            path
+        }
+    })
 }
 
 /// Encodes the conversion of `ann` as a model file's bytes.
@@ -91,7 +161,8 @@ fn rebuild(
 /// [`ConvertError::Unsupported`] for a SpikeNorm conversion, and every
 /// error [`decode_model`] would raise on the result: a norm-factor count
 /// other than the folded network's site count, a λ that is not finite and
-/// positive, or sample dims that are no sample shape.
+/// positive, or sample dims that are no sample shape or that a layer of
+/// `ann` refuses.
 pub fn encode_model(
     ann: &Network,
     conversion: &Conversion,

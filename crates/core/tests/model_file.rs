@@ -6,8 +6,9 @@
 //! different network: every single-byte flip and every truncation of a
 //! real file, every mutation of either section behind a resealed CRC, and
 //! the handcrafted defects the validation exists for (a wrong norm-factor
-//! count, a NaN or zero λ, empty sample dims, a missing or repeated
-//! CONVERSION section, a residual identity shortcut larger than its block).
+//! count, a NaN or zero λ, empty sample dims, sample dims the network
+//! refuses, a missing or repeated CONVERSION section, a residual identity
+//! shortcut larger than its block).
 
 use proptest::prelude::*;
 use tcl_core::{decode_model, encode_model, ConvertedModel, Converter, NormStrategy};
@@ -290,5 +291,36 @@ fn handcrafted_defects_are_refused() {
     for (case, bytes, want) in cases {
         let err = decode_model(&bytes).unwrap_err().to_string();
         assert!(err.contains(want), "{case}: {err}");
+    }
+}
+
+#[test]
+fn sample_dims_the_network_refuses_are_refused_on_save_and_load() {
+    let (_, original) = reference();
+    let net = cnn6();
+    let lambdas = original.conversion.lambdas.clone();
+    let mut network = Vec::new();
+    write_network(&mut network, &net);
+    // cnn6 built for [3, 8, 8]: a fourth input channel, spatial dims whose
+    // flatten no longer matches the classifier's width, and dims whose
+    // tensors would take ~50 GB, refused by arithmetic alone.
+    for (dims, want) in [
+        (
+            [4u32, 8, 8],
+            "layer 0 (conv2d): needs [3, H, W], got [4, 8, 8]",
+        ),
+        ([3, 16, 16], "(linear): needs ["),
+        ([3, 65535, 65535], "(linear): needs ["),
+    ] {
+        let usize_dims: Vec<usize> = dims.iter().map(|&d| d as usize).collect();
+        let saved = encode_model(&net, &original.conversion, &usize_dims);
+        let err = saved.unwrap_err().to_string();
+        assert!(err.contains(want), "save {dims:?}: {err}");
+        let file = seal(&[
+            (SEC_NETWORK, &network),
+            (SEC_CONVERSION, &conversion_payload(&dims, &lambdas)),
+        ]);
+        let err = decode_model(&file).unwrap_err().to_string();
+        assert!(err.contains(want), "load {dims:?}: {err}");
     }
 }

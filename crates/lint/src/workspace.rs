@@ -47,7 +47,13 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     ("obs", &["tcl-telemetry"]),
     (
         "serve",
-        &["tcl-tensor", "tcl-snn", "tcl-core", "tcl-telemetry"],
+        &[
+            "tcl-tensor",
+            "tcl-snn",
+            "tcl-core",
+            "tcl-telemetry",
+            "tcl-obs",
+        ],
     ),
     (
         "bench",
@@ -72,7 +78,6 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
 pub const ALLOWED_DEV_EXTRAS: &[(&str, &[&str])] = &[
     ("core", &["tcl-models"]),
     ("obs", &["tcl-tensor", "tcl-snn"]),
-    ("serve", &["tcl-obs"]),
 ];
 
 /// Dev-only externals every crate may use (vendored test/bench harnesses).

@@ -52,11 +52,6 @@ impl Network {
         &mut self.layers
     }
 
-    /// Consumes the network and returns its layers.
-    pub fn into_layers(self) -> Vec<Layer> {
-        self.layers
-    }
-
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()

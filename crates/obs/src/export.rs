@@ -11,14 +11,18 @@
 //!
 //! Endpoints:
 //!
-//! * `GET /metrics` — Prometheus text format (the contract the planned
-//!   `tcl-serve` service inherits; see DESIGN.md).
+//! * `GET /metrics` — Prometheus text format ([`render_prometheus`]; the
+//!   `tcl_serve` service answers its own `/metrics` with the same
+//!   renderer, see DESIGN.md §13).
 //! * `GET /healthz` — `ok`, for liveness probes.
 //! * `GET /summary` — the same snapshot as JSON.
 //!
-//! The server is deliberately minimal: HTTP/1.0-style one-request
-//! connections (`Connection: close`), GET only, no TLS, no keep-alive.
-//! Bind to loopback unless you know the network.
+//! Requests are read through [`crate::http::RequestParser`], the dialect
+//! and limits the inference service speaks: an oversized head gets 431, a
+//! GET with a body or a repeated `Content-Length` 400, a POST 405 (411
+//! without a `Content-Length`). Each connection carries one request and
+//! is closed after the answer (`Connection: close`); no TLS. Bind to
+//! loopback unless you know the network.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -26,6 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::http::{self, Method, Parse, Request, RequestParser};
 use tcl_telemetry::{events_dropped, json, metrics_snapshot, MetricSnapshot};
 
 /// Environment variable naming the exporter bind address.
@@ -142,79 +147,37 @@ fn accept_loop(listener: &TcpListener, stop: &AtomicBool) {
 fn handle_connection(mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_millis(500)))?;
-    let mut buf = [0u8; 2048];
-    let mut used = 0usize;
-    // Read until the end of the request line; drop oversized or stalled
-    // requests on the floor.
-    while !buf[..used].contains(&b'\n') {
-        if used == buf.len() {
-            return respond(
-                &mut stream,
-                400,
-                "text/plain; charset=utf-8",
-                "bad request\n",
-            );
+    // No endpoint takes a body: any POST body is over the limit.
+    let mut parser = RequestParser::new(0);
+    let mut chunk = [0u8; 512];
+    let (status, content_type, body) = loop {
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Ok(());
         }
-        match stream.read(&mut buf[used..]) {
-            Ok(0) => return Ok(()),
-            Ok(n) => used += n,
-            Err(e) => return Err(e),
+        match parser.feed(&chunk[..n]) {
+            Parse::NeedMore => {}
+            Parse::Ready(request) => break route(&request),
+            Parse::Reject { status, reason } => break (status, http::TEXT, format!("{reason}\n")),
         }
-    }
-    let request_line = String::from_utf8_lossy(&buf[..used]);
-    let request_line = request_line.lines().next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    if method != "GET" {
-        return respond(
-            &mut stream,
-            405,
-            "text/plain; charset=utf-8",
-            "method not allowed\n",
-        );
-    }
-    // Strip any query string; none of the endpoints take parameters.
-    let path = path.split('?').next().unwrap_or(path);
-    match path {
-        "/metrics" => {
-            let body = render_prometheus(&metrics_snapshot());
-            respond(
-                &mut stream,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            )
-        }
-        "/healthz" => respond(&mut stream, 200, "text/plain; charset=utf-8", "ok\n"),
-        "/summary" => {
-            let body = render_summary_json(&metrics_snapshot());
-            respond(&mut stream, 200, "application/json; charset=utf-8", &body)
-        }
-        _ => respond(&mut stream, 404, "text/plain; charset=utf-8", "not found\n"),
-    }
+    };
+    stream.write_all(&http::response(status, content_type, &body, None, false))?;
+    stream.flush()
 }
 
-fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        _ => "Error",
-    };
-    let header = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len(),
-    );
-    stream.write_all(header.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+/// Status, content type and body answering one parsed request.
+fn route(request: &Request) -> (u16, &'static str, String) {
+    match (request.method, request.path.as_str()) {
+        (Method::Post, _) => (405, http::TEXT, "method not allowed\n".to_string()),
+        (Method::Get, "/metrics") => (
+            200,
+            http::PROMETHEUS,
+            render_prometheus(&metrics_snapshot()),
+        ),
+        (Method::Get, "/healthz") => (200, http::TEXT, "ok\n".to_string()),
+        (Method::Get, "/summary") => (200, http::JSON, render_summary_json(&metrics_snapshot())),
+        _ => (404, http::TEXT, "not found\n".to_string()),
+    }
 }
 
 /// Sanitizes a telemetry metric name into a Prometheus family name plus an
@@ -505,13 +468,19 @@ mod tests {
     fn exporter_serves_and_shuts_down() {
         let exporter = serve("127.0.0.1:0").expect("bind loopback");
         let addr = exporter.addr();
-        let fetch = |path: &str| -> String {
+        // Writes each chunk with its own write and reads the answer to EOF.
+        let exchange = |chunks: &[&[u8]]| -> String {
             let mut conn = TcpStream::connect(addr).expect("connect");
-            conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-                .expect("write");
+            conn.set_nodelay(true).expect("nodelay");
+            for chunk in chunks {
+                conn.write_all(chunk).expect("write");
+            }
             let mut body = String::new();
             conn.read_to_string(&mut body).expect("read");
             body
+        };
+        let fetch = |path: &str| -> String {
+            exchange(&[format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes()])
         };
         let health = fetch("/healthz");
         assert!(health.starts_with("HTTP/1.1 200"), "{health}");
@@ -521,13 +490,28 @@ mod tests {
         assert!(metrics.contains("tcl_trace_events_dropped"));
         let missing = fetch("/nope");
         assert!(missing.starts_with("HTTP/1.1 404"));
-        // POST is rejected.
-        let mut conn = TcpStream::connect(addr).expect("connect");
-        conn.write_all(b"POST /metrics HTTP/1.1\r\n\r\n")
-            .expect("write");
-        let mut body = String::new();
-        conn.read_to_string(&mut body).expect("read");
-        assert!(body.starts_with("HTTP/1.1 405"));
+        // POST is rejected: 405 for a well-formed one, and 411 (the shared
+        // parser's answer) when it carries no Content-Length.
+        let post = exchange(&[b"POST /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n"]);
+        assert!(post.starts_with("HTTP/1.1 405"), "{post}");
+        let bare = exchange(&[b"POST /metrics HTTP/1.1\r\n\r\n"]);
+        assert!(bare.starts_with("HTTP/1.1 411"), "{bare}");
+        // The service's hardening holds here too: a head over MAX_HEAD, a
+        // GET announcing a body, and a repeated Content-Length.
+        let mut huge = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+        huge.resize(http::MAX_HEAD + 1, b'a');
+        let oversized = exchange(&[&huge]);
+        assert!(oversized.starts_with("HTTP/1.1 431"), "{oversized}");
+        let with_body = exchange(&[b"GET /metrics HTTP/1.1\r\nContent-Length: 5\r\n\r\n"]);
+        assert!(with_body.starts_with("HTTP/1.1 400"), "{with_body}");
+        let duplicate =
+            exchange(&[b"GET /metrics HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n"]);
+        assert!(duplicate.starts_with("HTTP/1.1 400"), "{duplicate}");
+        // A request dripped one byte per write is still answered.
+        let raw = b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
+        let dripped = exchange(&raw.chunks(1).collect::<Vec<_>>());
+        assert!(dripped.starts_with("HTTP/1.1 200"), "{dripped}");
+        assert!(dripped.contains("tcl_trace_events_dropped"));
         exporter.shutdown();
         // The port is released: rebinding the same address succeeds.
         let again = TcpListener::bind(addr);

@@ -1,23 +1,32 @@
-//! A minimal, incremental HTTP/1.1 request parser and response builder —
-//! the hand-rolled dialect the `tcl-obs` metrics exporter speaks, extended
-//! with POST bodies for inference requests and with **connection reuse**:
-//! the parser consumes exactly one request's bytes per [`Parse::Ready`],
-//! keeps any pipelined surplus buffered, and re-arms itself for the next
-//! request on the same connection. No TLS, no chunked bodies (rejected
-//! with a clear 4xx, never silently treated as length 0).
+//! The workspace's one HTTP/1.1 dialect: an incremental request parser and
+//! a response builder, spoken by the `tcl-serve` inference service and by
+//! the [`crate::export`] metrics exporter. It carries POST bodies for
+//! inference requests and supports **connection reuse**: the parser
+//! consumes exactly one request's bytes per [`Parse::Ready`], keeps any
+//! pipelined surplus buffered, and re-arms itself for the next request on
+//! the same connection. No TLS, no chunked bodies (rejected with a clear
+//! 4xx, never silently treated as length 0).
 //!
-//! The parser is a push-style state machine: the server feeds it whatever
-//! bytes arrived this tick and it answers "need more", "here is the
-//! request", or "reject with this status". All limits (header size, body
-//! size) are enforced *during* accumulation, so a hostile client can never
-//! make the server buffer unbounded data, and a truncated body simply
-//! parks the parser in `NeedMore` until the slow-loris deadline fires.
-//! Head scanning is incremental — each byte is examined O(1) times no
-//! matter how finely a slow-loris client drips its request (the
-//! [`RequestParser::scan_work`] counter pins this in a regression test).
+//! The parser is a push-style state machine: the caller feeds it whatever
+//! bytes arrived and it answers "need more", "here is the request", or
+//! "reject with this status". All limits (header size, body size) are
+//! enforced *during* accumulation, so a hostile client can never make a
+//! server buffer unbounded data, and a truncated body simply parks the
+//! parser in `NeedMore` until the caller's timeout fires. Head scanning is
+//! incremental — each byte is examined O(1) times no matter how finely a
+//! slow-loris client drips its request (the [`RequestParser::scan_work`]
+//! counter pins this in a regression test).
 
 /// Maximum bytes of request head (request line + headers) accepted.
 pub const MAX_HEAD: usize = 4096;
+
+/// Content type of plain-text bodies (`/healthz`, the exporter's errors).
+pub const TEXT: &str = "text/plain; charset=utf-8";
+/// Content type of JSON bodies (the service's answers, `/summary`).
+pub const JSON: &str = "application/json; charset=utf-8";
+/// Content type of `/metrics`: the Prometheus text exposition format,
+/// version 0.0.4 (DESIGN.md §13).
+pub const PROMETHEUS: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// A parsed request, ready for dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +46,8 @@ pub struct Request {
 /// Supported request methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
-    /// Read-only endpoints (`/healthz`, `/stats`).
+    /// Read-only endpoints (`/healthz`, `/metrics`, the service's
+    /// `/stats`, the exporter's `/summary`).
     Get,
     /// Inference submission (`/infer`).
     Post,
@@ -246,17 +256,13 @@ fn parse_head(head: &[u8]) -> Result<HeadFields, (u16, &'static str)> {
     Ok((method, path, content_length, keep_alive))
 }
 
-/// Builds a complete HTTP response (status line, headers, body) with
-/// `Connection: close`. `retry_after_s` adds a `Retry-After` header
-/// (load-shed responses).
-pub fn response(status: u16, body: &str, retry_after_s: Option<u64>) -> Vec<u8> {
-    response_with(status, body, retry_after_s, false)
-}
-
-/// Like [`response`], with an explicit connection disposition: the header
-/// advertises `keep-alive` when the server will keep the connection open.
-pub fn response_with(
+/// Builds a complete HTTP response: status line, `Content-Type`,
+/// `Content-Length`, `Connection` (`keep-alive` when the server will keep
+/// the connection open, else `close`), an optional `Retry-After` (load-shed
+/// responses), then the body.
+pub fn response(
     status: u16,
+    content_type: &str,
     body: &str,
     retry_after_s: Option<u64>,
     keep_alive: bool,
@@ -275,11 +281,6 @@ pub fn response_with(
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Error",
-    };
-    let content_type = if body.trim_start().starts_with('{') {
-        "application/json; charset=utf-8"
-    } else {
-        "text/plain; charset=utf-8"
     };
     let connection = if keep_alive { "keep-alive" } else { "close" };
     let mut head = format!(
@@ -574,14 +575,15 @@ mod tests {
 
     #[test]
     fn responses_carry_status_length_and_retry_after() {
-        let shed = String::from_utf8(response(429, "{\"error\":\"shed\"}", Some(2))).unwrap();
+        let shed = response(429, JSON, "{\"error\":\"shed\"}", Some(2), false);
+        let shed = String::from_utf8(shed).unwrap();
         assert!(shed.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(shed.contains("Retry-After: 2\r\n"));
         assert!(shed.contains("Content-Length: 16\r\n"));
         assert!(shed.contains("application/json"));
         assert!(shed.contains("Connection: close\r\n"));
         assert!(shed.ends_with("{\"error\":\"shed\"}"));
-        let ok = String::from_utf8(response_with(200, "ok\n", None, true)).unwrap();
+        let ok = String::from_utf8(response(200, TEXT, "ok\n", None, true)).unwrap();
         assert!(ok.contains("text/plain"));
         assert!(ok.contains("Connection: keep-alive\r\n"));
         assert!(!ok.contains("Retry-After"));

@@ -22,9 +22,11 @@
 //! serving `/metrics` in Prometheus text format straight from the
 //! `tcl-telemetry` registry snapshot, `/healthz`, and `/summary` JSON.
 //! It is strictly off the compute path — scrapes read a snapshot under the
-//! registry mutex and never touch engine or trainer state — and it is the
-//! surface the planned `tcl-serve` continuous-batching service will
-//! inherit.
+//! registry mutex and never touch engine or trainer state. [`http`] is the
+//! workspace's one HTTP/1.1 dialect (incremental request parser, response
+//! builder): the exporter reads its requests through it, and the
+//! `tcl-serve` inference service speaks it on every connection and answers
+//! its own `/metrics` with [`export::render_prometheus`].
 //!
 //! Everything here is deterministic for a given trace: analysis output is
 //! a pure function of the input JSONL, so flamegraphs and critical paths
@@ -37,6 +39,7 @@ pub mod critical;
 pub mod diff;
 pub mod export;
 pub mod flame;
+pub mod http;
 pub mod load;
 pub mod summary;
 pub mod tree;

@@ -97,7 +97,8 @@ const USAGE: &str = "tcl_serve: continuous-batching SNN inference server\n\n\
      on TCL_SERVE_ADDR (default 127.0.0.1:8711):\n\
      \x20 POST /infer   {\"sample\":[...],\"deadline_us\":N}\n\
      \x20 GET  /healthz\n\
-     \x20 GET  /stats\n\n\
+     \x20 GET  /stats\n\
+     \x20 GET  /metrics  (Prometheus text; series need TCL_METRICS=1)\n\n\
      Env: TCL_SERVE_ADDR, TCL_SERVE_LANES, TCL_SERVE_MAX_STEPS,\n\
      \x20    TCL_SERVE_TICKS (exit after N ticks)";
 

@@ -27,15 +27,19 @@
 //!
 //! ## Wire protocol
 //!
-//! HTTP/1.1 with keep-alive: connections are reused across requests
-//! (bounded by `max_requests_per_conn` and an idle timeout), pipelined
-//! requests are answered strictly in arrival order, and any non-200
-//! response closes the connection. Endpoints:
+//! HTTP/1.1 with keep-alive, parsed and framed by [`tcl_obs::http`] (the
+//! dialect the `tcl-obs` metrics exporter reads through too): connections
+//! are reused across requests (bounded by `max_requests_per_conn` and an
+//! idle timeout), pipelined requests are answered strictly in arrival
+//! order, and any non-200 response closes the connection. Endpoints:
 //!
 //! * `POST /infer` with body `{"sample":[...], "deadline_us": 50000}` →
 //!   `{"pred":…,"steps":…,"early":…,"margin":…,"latency_us":…}`
 //! * `GET /healthz` → `ok`
 //! * `GET /stats` → serving counters as JSON
+//! * `GET /metrics` → the telemetry registry in Prometheus text format,
+//!   rendered by [`tcl_obs::export::render_prometheus`] (empty but for
+//!   `tcl_trace_events_dropped` unless `TCL_METRICS` is set)
 //!
 //! See the repository README's "Serving" section for deadline and
 //! shedding semantics.
@@ -45,13 +49,11 @@
 
 mod backend;
 mod clock;
-mod http;
 mod server;
 pub mod sim;
 mod transport;
 
 pub use backend::{Backend, Completion, LaneBackend};
 pub use clock::{Clock, VirtualClock};
-pub use http::{response, response_with, Method, Parse, Request, RequestParser, MAX_HEAD};
 pub use server::{BackendFactory, ServeConfig, ServeStats, Server, TickReport};
 pub use transport::{Connection, Io, Transport};

@@ -60,8 +60,9 @@ use std::collections::BTreeMap;
 
 use crate::backend::{Backend, Completion};
 use crate::clock::Clock;
-use crate::http::{self, Method, Parse, RequestParser};
 use crate::transport::{Connection, Io, Transport};
+use tcl_obs::export::render_prometheus;
+use tcl_obs::http::{self, Method, Parse, RequestParser};
 use tcl_snn::ExitPolicy;
 use tcl_telemetry::json;
 use tcl_tensor::{Result, TensorError};
@@ -458,8 +459,10 @@ impl<C: Clock> Server<C> {
                     state: ConnState::Writing {
                         buf: http::response(
                             503,
-                            "{\"error\":\"connection limit\"}",
+                            http::JSON,
+                            &error_body("connection limit"),
                             Some(self.cfg.retry_after_s()),
+                            false,
                         ),
                         off: 0,
                     },
@@ -581,7 +584,7 @@ impl<C: Clock> Server<C> {
                         self.stats.faults_oversize += 1;
                         tcl_telemetry::counter_add("serve.faults.oversize", 1);
                     }
-                    self.respond(idx, status, &error_body(reason), None);
+                    self.respond_error(idx, status, reason, None);
                 }
                 // feed()/poll() only return NeedMore as handled above.
                 Some(Parse::NeedMore) => {}
@@ -592,13 +595,17 @@ impl<C: Clock> Server<C> {
     /// Routes one parsed request.
     fn dispatch(&mut self, now: u64, idx: usize, req: &http::Request) {
         match (req.method, req.path.as_str()) {
-            (Method::Get, "/healthz") => self.respond(idx, 200, "ok\n", None),
+            (Method::Get, "/healthz") => self.respond(idx, 200, http::TEXT, "ok\n", None),
             (Method::Get, "/stats") => {
                 let body = self.stats_json();
-                self.respond(idx, 200, &body, None);
+                self.respond(idx, 200, http::JSON, &body, None);
+            }
+            (Method::Get, "/metrics") => {
+                let body = render_prometheus(&tcl_telemetry::metrics_snapshot());
+                self.respond(idx, 200, http::PROMETHEUS, &body, None);
             }
             (Method::Post, "/infer") => self.dispatch_infer(now, idx, &req.body),
-            _ => self.respond(idx, 404, &error_body("not found"), None),
+            _ => self.respond_error(idx, 404, "not found", None),
         }
     }
 
@@ -606,7 +613,7 @@ impl<C: Clock> Server<C> {
         let (sample, deadline_us) = match parse_infer_body(body, self.cfg.feat_len()) {
             Ok(parsed) => parsed,
             Err(reason) => {
-                self.respond(idx, 422, &error_body(reason), None);
+                self.respond_error(idx, 422, reason, None);
                 return;
             }
         };
@@ -615,17 +622,12 @@ impl<C: Clock> Server<C> {
         if self.draining {
             self.stats.shed += 1;
             tcl_telemetry::counter_add("serve.shed", 1);
-            self.respond(
-                idx,
-                503,
-                &error_body("draining"),
-                Some(self.cfg.retry_after_s()),
-            );
+            self.respond_error(idx, 503, "draining", Some(self.cfg.retry_after_s()));
             return;
         }
         let budget = self.cfg.budget_for(deadline_us);
         if budget == 0 {
-            self.respond(idx, 422, &error_body("deadline below one timestep"), None);
+            self.respond_error(idx, 422, "deadline below one timestep", None);
             return;
         }
         let pending = PendingReq {
@@ -647,12 +649,7 @@ impl<C: Clock> Server<C> {
         } else {
             self.stats.shed += 1;
             tcl_telemetry::counter_add("serve.shed", 1);
-            self.respond(
-                idx,
-                429,
-                &error_body("overloaded"),
-                Some(self.cfg.retry_after_s()),
-            );
+            self.respond_error(idx, 429, "overloaded", Some(self.cfg.retry_after_s()));
         }
     }
 
@@ -674,7 +671,7 @@ impl<C: Clock> Server<C> {
             }
             Err(e) => {
                 tcl_telemetry::log("serve", &format!("submit failed: {e}"));
-                self.respond(pending.conn, 500, &error_body("submit failed"), None);
+                self.respond_error(pending.conn, 500, "submit failed", None);
             }
         }
     }
@@ -759,7 +756,7 @@ impl<C: Clock> Server<C> {
         body.push_str(",\"latency_us\":");
         body.push_str(&latency.to_string());
         body.push('}');
-        self.respond(pending.conn, 200, &body, None);
+        self.respond(pending.conn, 200, http::JSON, &body, None);
     }
 
     /// Rebuilds the backend and re-submits every in-flight request from
@@ -782,12 +779,7 @@ impl<C: Clock> Server<C> {
                 }
                 Err(err) => {
                     tcl_telemetry::log("serve", &format!("re-submit failed: {err}"));
-                    self.respond(
-                        pending.conn,
-                        500,
-                        &error_body("backend restart failed"),
-                        None,
-                    );
+                    self.respond_error(pending.conn, 500, "backend restart failed", None);
                 }
             }
         }
@@ -809,10 +801,10 @@ impl<C: Clock> Server<C> {
         for pending in hopeless {
             self.stats.shed += 1;
             tcl_telemetry::counter_add("serve.shed", 1);
-            self.respond(
+            self.respond_error(
                 pending.conn,
                 429,
-                &error_body("deadline unreachable under load"),
+                "deadline unreachable under load",
                 Some(self.cfg.retry_after_s()),
             );
         }
@@ -905,7 +897,7 @@ impl<C: Clock> Server<C> {
                 Some(Timeout::SlowLoris) => {
                     self.stats.faults_slowloris += 1;
                     tcl_telemetry::counter_add("serve.faults.slowloris", 1);
-                    self.respond(idx, 408, &error_body("request timeout"), None);
+                    self.respond_error(idx, 408, "request timeout", None);
                 }
                 Some(Timeout::Idle) => {
                     self.stats.idle_closed += 1;
@@ -927,16 +919,34 @@ impl<C: Clock> Server<C> {
     /// Queues a response on a connection (no-op if the client is gone).
     /// Any non-200 status forces the connection closed after the write:
     /// the parser may be unsynchronized with a misbehaving client.
-    fn respond(&mut self, idx: usize, status: u16, body: &str, retry_after_s: Option<u64>) {
+    fn respond(
+        &mut self,
+        idx: usize,
+        status: u16,
+        content_type: &str,
+        body: &str,
+        retry_after_s: Option<u64>,
+    ) {
         if let Some(entry) = self.conns.get_mut(idx).and_then(Option::as_mut) {
             if status != 200 {
                 entry.close_after = true;
             }
             entry.state = ConnState::Writing {
-                buf: http::response_with(status, body, retry_after_s, !entry.close_after),
+                buf: http::response(
+                    status,
+                    content_type,
+                    body,
+                    retry_after_s,
+                    !entry.close_after,
+                ),
                 off: 0,
             };
         }
+    }
+
+    /// Queues an error response with a JSON `{"error": reason}` body.
+    fn respond_error(&mut self, idx: usize, status: u16, reason: &str, retry_after_s: Option<u64>) {
+        self.respond(idx, status, http::JSON, &error_body(reason), retry_after_s);
     }
 
     fn drop_conn(&mut self, idx: usize) {

@@ -98,11 +98,6 @@ impl ClientHandle {
             .push_back((at, Chunk::Bytes(bytes)));
     }
 
-    /// Appends a hangup to this client's script.
-    pub fn hangup_at(&self, at: u64) {
-        self.script.borrow_mut().push_back((at, Chunk::Hangup));
-    }
-
     /// When the server closed this connection (virtual µs), if it has.
     pub fn closed_at(&self) -> Option<u64> {
         self.side.borrow().closed_at

@@ -10,8 +10,10 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use common::{body_bool, body_field, diagonal_net, drive, lane_factory, serve_cfg};
-use tcl_serve::sim::{get_request_keep_alive, infer_request, pipelined, Chunk, SimNet};
-use tcl_serve::{Backend, Completion, Server, VirtualClock};
+use tcl_serve::sim::{
+    get_request, get_request_keep_alive, infer_request, pipelined, Chunk, SimNet,
+};
+use tcl_serve::{Backend, Clock, Completion, Server, VirtualClock};
 use tcl_snn::Readout;
 use tcl_tensor::{Result, TensorError};
 
@@ -122,7 +124,7 @@ fn oversized_requests_are_rejected_early() {
         b"POST /infer HTTP/1.1\r\nContent-Length: 10000\r\n\r\n".to_vec(),
     );
     let mut junk = b"GET /stats HTTP/1.1\r\nX-Pad: ".to_vec();
-    junk.extend(std::iter::repeat_n(b'a', tcl_serve::MAX_HEAD + 1));
+    junk.extend(std::iter::repeat_n(b'a', tcl_obs::http::MAX_HEAD + 1));
     let big_head = sim.request_at(0, junk);
     let normal = sim.request_at(0, infer_request(&[0.9, 0.1, 0.1, 0.1], None));
 
@@ -426,7 +428,8 @@ fn truncated_body_answers_4xx_within_timeout() {
 }
 
 /// Each injected fault increments its own `serve.faults.*` telemetry
-/// counter (the Prometheus exporter serves these names unchanged).
+/// counter, and the server's own `GET /metrics` (the Prometheus exporter's
+/// renderer) serves these names unchanged.
 #[test]
 fn fault_counters_reach_the_telemetry_registry() {
     let ((), _lines) = tcl_telemetry::test_support::with_captured(|| {
@@ -479,5 +482,30 @@ fn fault_counters_reach_the_telemetry_registry() {
                 "{name} counter mismatch"
             );
         }
+
+        let scrape = sim.request_at(clock.now_us(), get_request("/metrics"));
+        drive(&mut server, &clock, &sim, 200, 10);
+        assert_eq!(scrape.status(), Some(200));
+        let text = scrape.response_text();
+        assert!(text.contains("version=0.0.4"), "{text}");
+        let stats = server.stats();
+        let families = [
+            ("tcl_serve_faults_disconnect", stats.faults_disconnect),
+            ("tcl_serve_faults_slowloris", stats.faults_slowloris),
+            ("tcl_serve_faults_oversize", stats.faults_oversize),
+            ("tcl_serve_faults_engine", stats.faults_engine),
+        ];
+        for (family, expected) in families {
+            let sample = text
+                .lines()
+                .find_map(|line| line.strip_prefix(family)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("{family} missing from /metrics:\n{text}"));
+            assert_eq!(sample.parse::<u64>().ok(), Some(expected), "{family}");
+        }
+        let fault_samples = text
+            .lines()
+            .filter(|line| line.starts_with("tcl_serve_faults_"))
+            .count();
+        assert_eq!(fault_samples, families.len(), "{text}");
     });
 }

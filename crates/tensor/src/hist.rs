@@ -1,13 +1,8 @@
-//! Streaming histograms and exact percentiles over activation values.
+//! Streaming histograms over activation values.
 //!
-//! Two tools back the norm-factor analysis of the paper:
-//!
-//! * [`Histogram`] — fixed-bin histogram used to regenerate Figure 1
-//!   (the log-scale distribution of post-ReLU activations) and to estimate
-//!   percentiles in O(bins) memory while streaming an entire dataset.
-//! * [`PercentileSketch`] — reservoir of raw values with exact percentile
-//!   queries, used for the Rueckauer-style 99.9 % norm-factor when the value
-//!   count is small enough to keep.
+//! [`Histogram`] — a fixed-bin histogram used to regenerate Figure 1 (the
+//! log-scale distribution of post-ReLU activations) and to estimate
+//! percentiles in O(bins) memory while streaming an entire dataset.
 
 use serde::{Deserialize, Serialize};
 
@@ -180,76 +175,6 @@ impl Histogram {
     }
 }
 
-/// An exact percentile estimator that retains every recorded value.
-///
-/// Suitable for calibration sets of up to a few million activations; the
-/// conversion pipeline uses it for the Rueckauer 99.9 % baseline where exact
-/// tail behaviour matters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PercentileSketch {
-    values: Vec<f32>,
-    sorted: bool,
-}
-
-impl PercentileSketch {
-    /// Creates an empty sketch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: f32) {
-        self.values.push(value);
-        self.sorted = false;
-    }
-
-    /// Records every value in a slice.
-    pub fn record_all(&mut self, values: &[f32]) {
-        self.values.extend_from_slice(values);
-        self.sorted = false;
-    }
-
-    /// Number of recorded values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether no values have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Exact `q`-quantile (nearest-rank with linear interpolation).
-    ///
-    /// Returns 0 for an empty sketch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&mut self, q: f32) -> f32 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        if !self.sorted {
-            // total_cmp gives a deterministic order even if a NaN ever
-            // sneaks in (it sorts to the top instead of aborting the run).
-            self.values.sort_by(f32::total_cmp);
-            self.sorted = true;
-        }
-        let pos = q as f64 * (self.values.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = (pos - lo as f64) as f32;
-        self.values[lo] * (1.0 - frac) + self.values[hi] * frac
-    }
-
-    /// Maximum recorded value (0 for an empty sketch).
-    pub fn max(&self) -> f32 {
-        self.values.iter().copied().fold(0.0, f32::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,26 +244,6 @@ mod tests {
         }
         let f = h.tail_fraction(0.9);
         assert!((f - 0.1).abs() < 0.02, "{f}");
-    }
-
-    #[test]
-    fn sketch_quantiles_are_exact() {
-        let mut s = PercentileSketch::new();
-        s.record_all(&[4.0, 1.0, 3.0, 2.0, 5.0]);
-        assert_eq!(s.quantile(0.0), 1.0);
-        assert_eq!(s.quantile(1.0), 5.0);
-        assert_eq!(s.quantile(0.5), 3.0);
-        // Interpolated between 2nd and 3rd order statistics.
-        assert!((s.quantile(0.25) - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sketch_handles_empty_and_single() {
-        let mut s = PercentileSketch::new();
-        assert_eq!(s.quantile(0.5), 0.0);
-        s.record(7.0);
-        assert_eq!(s.quantile(0.999), 7.0);
-        assert_eq!(s.max(), 7.0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod tensor;
 pub use tcl_simd as simd;
 
 pub use error::{Result, TensorError};
-pub use hist::{Histogram, PercentileSketch};
+pub use hist::Histogram;
 pub use par::Parallelism;
 pub use rng::SeededRng;
 pub use shape::Shape;
