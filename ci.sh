@@ -133,6 +133,14 @@ TCL_METRICS=1 cargo test -q -p tcl-snn -p tcl-serve --tests
 echo "==> cargo test -p tcl-core golden_regression + spike_path (TCL_THREADS=1)"
 TCL_THREADS=1 cargo test -q -p tcl-core --test golden_regression --test spike_path
 
+# The weighted event path's gate depends on the SIMD level (at avx2 it
+# admits only geometries the GEMM covers with fused tiles), so the cnn6
+# kernel split is pinned at the unfused levels too.
+for isa in scalar wide; do
+  echo "==> cargo test -p tcl-core spike_path (TCL_SIMD=$isa)"
+  TCL_SIMD=$isa cargo test -q -p tcl-core --test spike_path
+done
+
 elapsed=$(( $(date +%s) - test_start ))
 budget="${TCL_TEST_BUDGET_S:-1200}"
 if [ "$elapsed" -gt "$budget" ]; then

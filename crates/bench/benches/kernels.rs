@@ -219,6 +219,51 @@ fn bench_conv_spikes(c: &mut Criterion) {
     }
 }
 
+/// CNN-6's pooled-input convolution (node 3) at batch 5: 8 channels of
+/// 8×8 pooled spikes, each nonzero entry a multiple of 1/4, into 16
+/// outputs through a padded 3×3 kernel, at 25%, 50% and 75% nonzero
+/// entries. The weighted event path runs against the im2col + GEMM, which
+/// locates the crossover `ops::WEIGHTED_EVENT_DENSITY` gates on. Inputs
+/// cycle through 8 rasters, as in `bench_conv_spikes`.
+fn bench_conv_weighted(c: &mut Criterion) {
+    let mut rng = SeededRng::new(12);
+    let geom = ConvGeometry::square(3, 1, 1).unwrap();
+    let w = rng.uniform_tensor([16, 8, 3, 3], -0.5, 0.5);
+    let bias = rng.uniform_tensor([16], -0.1, 0.1);
+    let taps = ops::ConvTaps::new(&w).unwrap();
+    let dims = [5, 8, 8, 8];
+    for (label, density) in [("q25", 0.25), ("q50", 0.5), ("q75", 0.75)] {
+        let rasters: Vec<Tensor> = (0..8)
+            .map(|_| {
+                let x = (0..dims.iter().product())
+                    .map(|_| {
+                        if rng.uniform(0.0, 1.0) < density {
+                            (1 + rng.below(4)) as f32 * 0.25
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                Tensor::from_vec(dims, x).unwrap()
+            })
+            .collect();
+        let mut next = 0;
+        c.bench_function(&format!("conv_events_8x8x8_o16_batch5_{label}"), |bench| {
+            bench.iter(|| {
+                next = (next + 1) % rasters.len();
+                ops::conv2d_weighted_events(black_box(&rasters[next]), &taps, Some(&bias), geom)
+                    .unwrap()
+            })
+        });
+        c.bench_function(&format!("conv_gemm_8x8x8_o16_batch5_{label}"), |bench| {
+            bench.iter(|| {
+                next = (next + 1) % rasters.len();
+                ops::conv2d(black_box(&rasters[next]), &w, Some(&bias), geom).unwrap()
+            })
+        });
+    }
+}
+
 /// CNN-6's first pool (node 2): 2×2, stride 2 over a batch of 5 `[8, 16,
 /// 16]` inputs, the per-timestep call the 2×2 loop in `ops::avg_pool2d`
 /// exists for.
@@ -232,7 +277,7 @@ fn bench_avg_pool(c: &mut Criterion) {
 
 /// CNN-6's `256→128` fully connected synapse on a batch of 5 pooled-spike
 /// rows (multiples of 1/4, half of them nonzero, so the dense branch runs):
-/// the per-timestep call the stored weight panel exists for.
+/// the per-timestep call the stored, prepacked weight panel exists for.
 fn bench_linear_synop(c: &mut Criterion) {
     let mut rng = SeededRng::new(10);
     let op = SynapticOp::linear(
@@ -387,6 +432,7 @@ criterion_group!(
         bench_if_step,
         bench_conv2d,
         bench_conv_spikes,
+        bench_conv_weighted,
         bench_avg_pool,
         bench_linear_synop,
         bench_ann_forward,

@@ -64,8 +64,8 @@ fn density(x: &Tensor) -> f64 {
 struct Ops {
     /// Accumulates: synapses on the event path (binary spike input).
     acs: f64,
-    /// Multiply-accumulates: synapses on the GEMM path (analog or pooled
-    /// input).
+    /// Multiply-accumulates: synapses on analog or pooled input (the GEMM,
+    /// or the weighted event path's one multiply-add per nonzero input).
     macs: f64,
 }
 

@@ -484,7 +484,7 @@ fn run_soak(scale: Scale) {
     // Same order of magnitude, either direction, is the claim.
     let ratio = (p99 / predicted.p99_us.max(1.0)).max(predicted.p99_us.max(1.0) / p99.max(1.0));
     assert!(
-        p99 > 0.0 && predicted.p99_us > 0.0 && ratio < 1000.0,
+        p99 > 0.0 && predicted.p99_us > 0.0 && ratio < 10.0,
         "soak p99 {p99:.0}µs implausibly far from predicted {:.0}µs",
         predicted.p99_us
     );

@@ -1,15 +1,20 @@
-//! Which synapses of a converted cnn6 run the event path.
+//! Which synapses of a converted cnn6 run which current kernel.
 //!
 //! A synapse fed directly by an IF bank reads spikes that are exactly
 //! `1.0`, so it takes the accumulate-only event path; the analog first
 //! layer and the synapses behind average pooling read fractional currents
-//! and keep the GEMM. This pins that split with the predicate
-//! `SynapticOp::apply` itself uses, so a change that stops IF spikes being
-//! exactly `1.0` fails here instead of silently losing the speedup.
+//! and miss it. Behind a pool, the convolution (node 3) takes the weighted
+//! event path, one multiply-add per nonzero input, and the linear map
+//! (node 7) the dense product from its packed weight panel. This pins that
+//! split with the predicates `SynapticOp::apply` itself uses, so a change
+//! that stops IF spikes being exactly `1.0`, or that moves a pooled-input
+//! node off its kernel, fails here instead of silently losing the speedup.
+//! The weighted path's gate depends on the SIMD level, so CI runs this
+//! test at every level.
 
 use tcl_core::{Converter, NormStrategy};
 use tcl_models::{Architecture, ModelConfig};
-use tcl_snn::SpikingNode;
+use tcl_snn::{CurrentPath, SpikingNode};
 use tcl_tensor::{SeededRng, Tensor};
 
 /// cnn6's node list: conv, conv, pool, conv, conv, pool, flatten, linear,
@@ -17,6 +22,19 @@ use tcl_tensor::{SeededRng, Tensor};
 /// read pooled spikes.
 const EVENT_NODES: [usize; 3] = [1, 4, 8];
 const GEMM_NODES: [usize; 3] = [0, 3, 7];
+/// The kernel each pooled-input node runs on a fractional input: node 3
+/// the weighted event path (its inputs stay below the density crossover);
+/// node 7 the packed dense product at or above the linear zero-skip's
+/// 1-in-8 density gate, and the zero-skip below it.
+fn pooled_path(node: usize, x: &Tensor) -> Option<CurrentPath> {
+    let nonzero = x.data().iter().filter(|&&v| v != 0.0).count();
+    match node {
+        3 => Some(CurrentPath::WeightedEvents),
+        7 if nonzero * 8 >= x.len() => Some(CurrentPath::Dense),
+        7 => Some(CurrentPath::SparseRows),
+        _ => None,
+    }
+}
 
 #[test]
 fn if_fed_synapses_take_the_event_path_and_the_rest_keep_the_gemm() {
@@ -35,13 +53,23 @@ fn if_fed_synapses_take_the_event_path_and_the_rest_keep_the_gemm() {
 
     let mut event_steps = [0usize; 9];
     let mut fractional_steps = [0usize; 9];
+    // Per pooled-input node: fractional steps on the expected kernel, and
+    // those on the dense product.
+    let mut pooled_path_steps = [0usize; 9];
+    let mut dense_steps = [0usize; 9];
     let steps = 48;
     for _ in 0..steps {
         let mut x: Tensor = stimulus.clone();
         for (i, node) in snn.nodes_mut().iter_mut().enumerate() {
             if let SpikingNode::Spiking(layer) = node {
+                let fractional = x.data().iter().any(|&v| v != 0.0 && v != 1.0);
                 event_steps[i] += usize::from(layer.op.is_event_driven(&x));
-                fractional_steps[i] += usize::from(x.data().iter().any(|&v| v != 0.0 && v != 1.0));
+                fractional_steps[i] += usize::from(fractional);
+                if let Some(want) = pooled_path(i, &x).filter(|_| fractional) {
+                    let path = layer.op.path(&x);
+                    pooled_path_steps[i] += usize::from(path == want);
+                    dense_steps[i] += usize::from(path == CurrentPath::Dense);
+                }
             }
             x = node.step(&x).unwrap();
         }
@@ -65,4 +93,16 @@ fn if_fed_synapses_take_the_event_path_and_the_rest_keep_the_gemm() {
             fractional_steps[i]
         );
     }
+    for i in [3, 7] {
+        assert_eq!(
+            pooled_path_steps[i], fractional_steps[i],
+            "node {i}: expected kernel on {} of {} fractional steps",
+            pooled_path_steps[i], fractional_steps[i]
+        );
+    }
+    assert_eq!(dense_steps[3], 0, "node 3 ran the GEMM");
+    assert!(
+        dense_steps[7] > 0,
+        "node 7 never ran the packed dense product"
+    );
 }

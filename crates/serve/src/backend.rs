@@ -66,7 +66,8 @@ pub trait Backend {
 #[derive(Debug, Clone)]
 pub struct LaneBackend {
     engine: LaneEngine,
-    feat_dims: Vec<usize>,
+    /// One request's tensor dims: a unit batch, then the sample dims.
+    sample_dims: Vec<usize>,
 }
 
 impl LaneBackend {
@@ -85,7 +86,9 @@ impl LaneBackend {
     ) -> Result<Self> {
         Ok(LaneBackend {
             engine: LaneEngine::new(net, capacity, readout, policy)?,
-            feat_dims: feat_dims.to_vec(),
+            sample_dims: std::iter::once(1)
+                .chain(feat_dims.iter().copied())
+                .collect(),
         })
     }
 
@@ -118,7 +121,9 @@ impl Backend for LaneBackend {
     }
 
     fn submit(&mut self, sample: &[f32], budget: usize) -> Result<u64> {
-        let tensor = Tensor::from_vec(Shape::new(self.feat_dims.clone()), sample.to_vec())?;
+        // The one copy of the sample, already `[1, feat…]`, so the lane
+        // engine admits it as it is.
+        let tensor = Tensor::from_vec(Shape::new(self.sample_dims.clone()), sample.to_vec())?;
         Ok(self.engine.submit(&tensor, budget)?.0)
     }
 

@@ -204,7 +204,8 @@ impl LaneEngine {
     /// Admits one sample into a free lane.
     ///
     /// `sample` carries a single presentation without the batch dimension
-    /// (e.g. `[features]` or `[c, h, w]`) or with a unit one (`[1, ...]`).
+    /// (e.g. `[features]` or `[c, h, w]`) or with a unit one (`[1, ...]`);
+    /// one with the unit dimension is admitted as it is, without a copy.
     /// `budget` is the lane's maximum timesteps — the deadline, expressed in
     /// the exit policy's currency; the lane retires unconditionally when it
     /// has simulated `budget` steps.
@@ -215,11 +216,12 @@ impl LaneEngine {
     /// shape mismatch with previously admitted samples, or when node 0
     /// rejects the sample. A rejected sample leaves the session unchanged.
     pub fn submit(&mut self, sample: &Tensor, budget: usize) -> Result<LaneId> {
-        let dims = match sample.dims() {
-            [1, rest @ ..] if !rest.is_empty() => rest,
-            dims => dims,
-        };
-        let one: Vec<usize> = std::iter::once(1).chain(dims.iter().copied()).collect();
+        if matches!(sample.dims(), [1, rest @ ..] if !rest.is_empty()) {
+            return par::with_serial(|| self.admit(sample, budget, true));
+        }
+        let one: Vec<usize> = std::iter::once(1)
+            .chain(sample.dims().iter().copied())
+            .collect();
         let sample = sample.reshape(Shape::new(one))?;
         par::with_serial(|| self.admit(&sample, budget, true))
     }

@@ -58,5 +58,5 @@ pub use network::{Drive, SpikingNetwork};
 pub use neuron::{IfNeurons, ResetMode};
 pub use node::{SpikingLayer, SpikingNode, SpikingResidual};
 pub use sim::{evaluate, InputCoding, Readout, SimConfig, SweepResult};
-pub use synop::{ConvSynapse, LinearSynapse, SynapticOp};
+pub use synop::{ConvSynapse, CurrentPath, LinearSynapse, SynapticOp};
 pub use trace::{trace_activity, ActivityTrace, MarginTrace};

@@ -5,13 +5,38 @@
 //! and tap instead of a multiply-add per input (the paper's Eq. 1). The
 //! event path runs only when it is bitwise equal to the dense product —
 //! binary input and finite weights (see [`tcl_tensor::ops::spike_conv_applies`])
-//! — and the input alone chooses it: an IF-fed node always takes it, and an
-//! analog or pooled input keeps the dense product whenever it holds a
-//! fractional entry.
+//! — and the input alone chooses it: an IF-fed node always takes it.
+//!
+//! A pooled spike map holds fractions (`{0, ¼, ½, ¾, 1}` after a 2×2
+//! pool), so it misses the event path. A convolution still skips its zero
+//! entries on the **weighted event path**: one multiply-add per nonzero
+//! input and tap, bitwise the GEMM where
+//! [`tcl_tensor::ops::weighted_conv_applies`] holds. A linear map takes its
+//! dense product from a weight panel packed once, at conversion. Every
+//! path a synapse can take computes the same bits, except the linear
+//! zero-skip on sparse non-binary input (see [`LinearSynapse`]), so the
+//! path is a matter of speed; [`SynapticOp::path`] names it.
 
 use serde::{Deserialize, Serialize};
 use tcl_tensor::ops::{self, ConvGeometry, SpikeScan};
-use tcl_tensor::{Result, Tensor, TensorError};
+use tcl_tensor::{simd, Result, Tensor, TensorError};
+
+/// The kernel [`SynapticOp::apply`] runs on one input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CurrentPath {
+    /// Binary spikes into finite weights: one add per spike and tap (an
+    /// accumulate), bitwise the dense product.
+    Events,
+    /// A convolution on sparse non-binary input: one multiply-add per
+    /// nonzero input and tap, bitwise the GEMM.
+    WeightedEvents,
+    /// A linear map on sparse non-binary input: the zero-skipping sparse
+    /// row kernel.
+    SparseRows,
+    /// The dense product: im2col + GEMM for a convolution, the packed
+    /// weight panel for a linear map.
+    Dense,
+}
 
 /// A linear synaptic operator applied to spike (or analog, for the first
 /// layer) tensors each timestep — the `Σ W·Θ + b` of Eq. 1.
@@ -29,7 +54,7 @@ pub enum SynapticOp {
 /// The weights of a convolutional synapse, in the two layouts its current
 /// kernels read: the `[O, C, kh, kw]` kernel the im2col + GEMM path
 /// multiplies, and the tap-major `[C, kh, kw, O]` vectors (see
-/// [`ops::ConvTaps`]) the event path adds per spike.
+/// [`ops::ConvTaps`]) both event paths add per nonzero input.
 ///
 /// Both are laid out once, when the operator is built at conversion, along
 /// with whether every weight is finite; [`SynapticOp::scale_weights`] keeps
@@ -58,18 +83,44 @@ impl ConvSynapse {
         self.weight.dims()[0]
     }
 
-    /// Whether an input with this scan takes the event path.
-    fn event_path(&self, scan: SpikeScan) -> bool {
-        ops::spike_conv_applies(self.geom, self.finite, scan)
+    /// The kernel an input with this scan takes: the event path on binary
+    /// spikes, the weighted event path where it is bitwise the GEMM and
+    /// sparse enough to pay, else im2col + GEMM.
+    fn path(&self, input: &Tensor, scan: SpikeScan) -> CurrentPath {
+        if ops::spike_conv_applies(self.geom, self.finite, scan) {
+            return CurrentPath::Events;
+        }
+        let weighted = input.shape().as_nchw().is_ok_and(|(_, _, h, w)| {
+            self.geom.output_hw(h, w).is_ok_and(|out_hw| {
+                ops::weighted_conv_applies(
+                    simd::current(),
+                    self.geom,
+                    self.out_channels(),
+                    out_hw,
+                    self.finite,
+                    scan,
+                    input.len(),
+                )
+            })
+        });
+        if weighted {
+            CurrentPath::WeightedEvents
+        } else {
+            CurrentPath::Dense
+        }
     }
 
-    /// The input current: the event path on binary spikes, else im2col +
-    /// GEMM. Both produce the same bits (see the module docs).
+    /// The input current. Every path produces the same bits (see the
+    /// module docs).
     fn current(&self, input: &Tensor, scan: SpikeScan) -> Result<Tensor> {
-        if self.event_path(scan) {
-            ops::conv2d_spikes(input, &self.taps, self.bias.as_ref(), self.geom)
-        } else {
-            ops::conv2d(input, &self.weight, self.bias.as_ref(), self.geom)
+        match self.path(input, scan) {
+            CurrentPath::Events => {
+                ops::conv2d_spikes(input, &self.taps, self.bias.as_ref(), self.geom)
+            }
+            CurrentPath::WeightedEvents => {
+                ops::conv2d_weighted_events(input, &self.taps, self.bias.as_ref(), self.geom)
+            }
+            _ => ops::conv2d(input, &self.weight, self.bias.as_ref(), self.geom),
         }
     }
 }
@@ -78,12 +129,14 @@ impl ConvSynapse {
 /// panel `Wᵀ` that both current kernels read.
 ///
 /// The panel is laid out once, when the operator is built at conversion,
-/// instead of transposing `W` on every timestep. It is the only copy of the
-/// weights the operator keeps.
+/// instead of transposing `W` on every timestep, together with its full
+/// 16-column tiles packed for the dense kernel ([`ops::PackedPanel`]), so
+/// no timestep copies a weight; [`SynapticOp::scale_weights`] keeps the two
+/// layouts in step.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinearSynapse {
-    /// `Wᵀ`, `[in_f, out_f]`.
-    panel: Tensor,
+    /// `Wᵀ`, `[in_f, out_f]`, with its packed column tiles.
+    panel: ops::PackedPanel,
     /// Optional bias current, `[out_f]`.
     bias: Option<Tensor>,
     /// Every weight is finite, so skipping zero inputs is exact.
@@ -93,38 +146,49 @@ pub struct LinearSynapse {
 impl LinearSynapse {
     /// Input features (`in_f`).
     pub fn in_features(&self) -> usize {
-        self.panel.dims()[0]
+        self.panel.panel().dims()[0]
     }
 
     /// Output features (`out_f`).
     pub fn out_features(&self) -> usize {
-        self.panel.dims()[1]
+        self.panel.panel().dims()[1]
     }
 
     /// The stored `[in_f, out_f]` weight panel.
     pub fn panel(&self) -> &Tensor {
-        &self.panel
+        self.panel.panel()
     }
 
-    /// Whether an input with this scan takes the event path.
-    fn event_path(&self, scan: SpikeScan) -> bool {
-        scan.binary && self.finite
+    /// The kernel an input of `len` entries with this scan takes: the event
+    /// path on binary spikes, the sparse rows below 1-in-8 activity, else
+    /// the dense product.
+    fn path(&self, len: usize, scan: SpikeScan) -> CurrentPath {
+        if scan.binary && self.finite {
+            CurrentPath::Events
+        } else if self.finite && scan.nonzero * 8 < len {
+            CurrentPath::SparseRows
+        } else {
+            CurrentPath::Dense
+        }
     }
 
     /// Computes `input @ Wᵀ + b`, routing spike rasters and mostly-zero
     /// inputs through the sparse-row kernel.
     ///
-    /// Both paths read the stored panel; the sparse kernel then skips zero
-    /// input entries. On binary input (the event path) it always runs: each
-    /// surviving update is `1·w`, an exact add, so it equals the dense
-    /// product bitwise at every SIMD level. On other input it runs below
-    /// ~12.5% activity, where the skip pays for its strided access: the
-    /// dense kernel's packed register tiles move roughly twice the useful
-    /// flops per cycle, so the skip must eliminate well over half the rows.
-    /// There the two paths agree within per-element rounding: both
-    /// accumulate each output element in ascending input order, but the
-    /// dense tile may fuse multiply-adds at the AVX2 dispatch level while
-    /// the sparse path rounds each step.
+    /// The sparse kernel reads the row-major panel and skips zero input
+    /// entries; the dense kernel reads the panel's packed tiles. On binary
+    /// input (the event path) the sparse kernel always runs: each surviving
+    /// update is `1·w`, an exact add, so it equals the dense product bitwise
+    /// at every SIMD level. On other input it runs below ~12.5% activity,
+    /// where the skip pays for its strided access: the dense kernel's
+    /// packed register tiles move roughly twice the useful flops per cycle,
+    /// so the skip must eliminate well over half the rows. There the two
+    /// paths agree within per-element rounding: both accumulate each output
+    /// element in ascending input order, and both fuse multiply-adds at the
+    /// AVX2 dispatch level (the sparse kernel's [`simd::axpy`] fuses, as
+    /// the dense full tiles do), but the dense kernel's ragged rows and
+    /// columns do not fuse. So at AVX2 the ragged rows (the last
+    /// `rows % 4`) are fused below the density gate and unfused above it.
     ///
     /// Skipping is exact only for finite weights (`0·NaN` is NaN), so a
     /// synapse with a non-finite weight always takes the dense kernel and
@@ -139,8 +203,9 @@ impl LinearSynapse {
             });
         }
         let mut out = Tensor::zeros([rows, out_f]);
-        let sparse = self.event_path(scan) || (self.finite && scan.nonzero * 8 < rows * in_f);
-        if sparse {
+        if self.path(rows * in_f, scan) == CurrentPath::Dense {
+            ops::matmul_into_packed(input.data(), &self.panel, out.data_mut(), rows);
+        } else {
             if tcl_telemetry::metrics_enabled() {
                 tcl_telemetry::counter_add(
                     "snn.zero_skips",
@@ -149,16 +214,7 @@ impl LinearSynapse {
             }
             ops::matmul_into_sparse(
                 input.data(),
-                self.panel.data(),
-                out.data_mut(),
-                rows,
-                in_f,
-                out_f,
-            );
-        } else {
-            ops::matmul_into(
-                input.data(),
-                self.panel.data(),
+                self.panel().data(),
                 out.data_mut(),
                 rows,
                 in_f,
@@ -214,7 +270,8 @@ impl SynapticOp {
 
     /// Builds a fully connected operator from an `[out_f, in_f]` weight
     /// matrix and an optional `[out_f]` bias, laying the weights out as the
-    /// panel the per-timestep kernels read (see [`LinearSynapse`]).
+    /// panel and packed tiles the per-timestep kernels read (see
+    /// [`LinearSynapse`]).
     ///
     /// # Errors
     ///
@@ -227,7 +284,7 @@ impl SynapticOp {
         ops::transpose_into(weight.data(), panel.data_mut(), out_f, in_f);
         let finite = all_finite(&panel);
         Ok(SynapticOp::Linear(LinearSynapse {
-            panel,
+            panel: ops::PackedPanel::new(panel)?,
             bias,
             finite,
         }))
@@ -236,8 +293,8 @@ impl SynapticOp {
     /// Applies the operator to an input tensor.
     ///
     /// One scan of `input` yields its nonzero count and whether it is a
-    /// binary spike raster; that serves the synop counter, the choice of
-    /// the event path and the linear density gate.
+    /// binary spike raster; that serves the synop counter and the choice
+    /// of [`CurrentPath`].
     ///
     /// # Errors
     ///
@@ -282,16 +339,22 @@ impl SynapticOp {
         Ok((self.current(input, scan)?, synops))
     }
 
+    /// The kernel [`SynapticOp::apply`] runs on `input`.
+    pub fn path(&self, input: &Tensor) -> CurrentPath {
+        let scan = SpikeScan::of(input.data());
+        match self {
+            SynapticOp::Conv(synapse) => synapse.path(input, scan),
+            SynapticOp::Linear(synapse) => synapse.path(input.len(), scan),
+        }
+    }
+
     /// Whether [`SynapticOp::apply`] runs the event path on `input`: one add
     /// per nonzero input and tap (accumulates), not a multiply-add per input
     /// (MACs). True for binary spike input when every weight is finite and,
-    /// for a convolution, the geometry fits [`ops::conv2d_spikes`].
+    /// for a convolution, the geometry fits [`ops::conv2d_spikes`]. The
+    /// weighted event path multiplies, so it does not count.
     pub fn is_event_driven(&self, input: &Tensor) -> bool {
-        let scan = SpikeScan::of(input.data());
-        match self {
-            SynapticOp::Conv(synapse) => synapse.event_path(scan),
-            SynapticOp::Linear(synapse) => synapse.event_path(scan),
-        }
+        self.path(input) == CurrentPath::Events
     }
 
     /// Weights one nonzero input entry drives: `out_c·kh·kw` for a
@@ -322,7 +385,7 @@ impl SynapticOp {
     pub fn weight_count(&self) -> usize {
         match self {
             SynapticOp::Conv(synapse) => synapse.weight.len(),
-            SynapticOp::Linear(synapse) => synapse.panel.len(),
+            SynapticOp::Linear(synapse) => synapse.panel().len(),
         }
     }
 
@@ -337,7 +400,7 @@ impl SynapticOp {
             }
             SynapticOp::Linear(synapse) => {
                 synapse.panel.scale_inplace(factor);
-                synapse.finite = all_finite(&synapse.panel);
+                synapse.finite = all_finite(synapse.panel.panel());
             }
         }
     }

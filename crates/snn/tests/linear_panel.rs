@@ -1,15 +1,16 @@
 //! The fully connected synapse's stored weight panel, and what a batch row's
 //! position may change.
 //!
-//! `SynapticOp::linear` lays `Wᵀ` out once; `apply` must then produce the
-//! bits the per-call `matmul_nt` (dense) or transpose + zero-skip (sparse)
-//! path produced, at every SIMD level. The second half pins the batch-row
+//! `SynapticOp::linear` lays `Wᵀ` out once, with its 16-column tiles
+//! packed for the dense kernel; `apply` must then produce the bits the
+//! per-call `matmul_nt` (dense, packing each tile per call) or transpose +
+//! zero-skip (sparse) path produced, at every SIMD level. The second half pins the batch-row
 //! contract the engines' lane compaction and admission lean on: at the
 //! unfused levels a sample's current does not depend on where it sits in
 //! the batch; at every level that holds for binary spike inputs, whose
 //! products `1·w` are exact.
 
-use tcl_snn::SynapticOp;
+use tcl_snn::{CurrentPath, SynapticOp};
 use tcl_tensor::{ops, simd, SeededRng, Tensor};
 
 const IN_F: usize = 256;
@@ -104,6 +105,39 @@ fn stored_panel_matches_per_call_transpose_on_both_density_branches() {
                 }
             }
         });
+    }
+}
+
+/// The dense branch reads the panel's packed tiles; the per-call product
+/// packs each tile afresh. Both must give the same bits at every level, for
+/// every batch of 1 to 12 rows (full 4-row bands, ragged rows and both),
+/// with an output width of whole 16-column tiles and one with 5 edge
+/// columns, and the sparse branch must keep reading the row-major panel.
+#[test]
+fn packed_panel_matches_per_call_packing_for_every_row_count() {
+    let mut rng = SeededRng::new(18);
+    for out_f in [OUT_F, OUT_F + 5] {
+        let weight = rng.uniform_tensor([out_f, IN_F], -0.2, 0.2);
+        let bias = rng.uniform_tensor([out_f], -0.1, 0.1);
+        let op = SynapticOp::linear(weight.clone(), Some(bias.clone())).unwrap();
+        for level in simd::Level::available() {
+            simd::with_level(level, || {
+                for rows in 1..=12 {
+                    for (density, path) in
+                        [(0.5, CurrentPath::Dense), (0.05, CurrentPath::SparseRows)]
+                    {
+                        let x = raster(&mut rng, rows, density, &POOLED);
+                        assert_eq!(op.path(&x), path, "density {density} rows {rows}");
+                        assert_eq!(
+                            bits(&op.apply(&x).unwrap()),
+                            bits(&per_call_current(&x, &weight, &bias)),
+                            "{} out_f {out_f} density {density} rows {rows}",
+                            level.name()
+                        );
+                    }
+                }
+            });
+        }
     }
 }
 

@@ -7,9 +7,12 @@
 //! adjoint of `im2col` (a property-tested invariant), which makes input
 //! gradients a transpose-product followed by re-folding.
 //!
-//! A binary spike raster has a cheaper forward pass: [`conv2d_spikes`] adds
-//! one tap vector per spike and tap, with no multiply and no lowering, and
-//! where [`spike_conv_applies`] holds it returns [`conv2d`]'s exact bits.
+//! A sparse input has a cheaper forward pass, one event per nonzero input
+//! entry and no lowering: [`conv2d_spikes`] adds each spike's tap vectors,
+//! with no multiply, and [`conv2d_weighted_events`] adds `q·tap` for an
+//! entry `q`. Where [`spike_conv_applies`] (binary spikes) or
+//! [`weighted_conv_applies`] (any other values) holds, they return
+//! [`conv2d`]'s exact bits.
 
 use crate::error::{Result, TensorError};
 use crate::ops::matmul::{matmul_into, transpose_into};
@@ -540,6 +543,51 @@ pub fn spike_conv_applies(geom: ConvGeometry, weights_finite: bool, scan: SpikeS
     scan.binary && weights_finite && spike_conv_fits(geom)
 }
 
+/// Whether [`conv2d_weighted_events`] computes [`conv2d`]'s bits for a
+/// non-binary input at `level`, and is the faster of the two: the
+/// geometry fits, every weight is finite, the GEMM fuses wherever the
+/// event walk does, and at most [`WEIGHTED_EVENT_DENSITY`] of the input's
+/// `len` entries are nonzero.
+///
+/// The walk adds `q·tap` for each nonzero entry `q` with [`simd::axpy`],
+/// whose multiply-add is fused at [`simd::Level::Avx2`] and unfused below,
+/// exactly as the GEMM's full `MR`×`NR` tiles are. Its tap rows are whole
+/// 8-lane blocks, so it has no unfused tail. But at `Avx2` only the GEMM's
+/// full tiles fuse, so the walk applies there only when the `O` output
+/// channels fill whole 4-row bands and the `out_h·out_w` output pixels
+/// fill whole 16-column tiles (`out_hw` is the output extent). Each output
+/// then sees the GEMM's products in its ascending `(c, kh, kw)` order, and
+/// the GEMM's extra terms, one per zero input, add an exact `±0` (`0·w`
+/// with `w` finite). Such a term can only change the sign of a zero
+/// accumulator, and the copy-out adds `+0` to every accumulator as the
+/// GEMM's store does, so the bits agree; a NaN or an infinite input is
+/// nonzero and is multiplied in as the GEMM multiplies it.
+pub fn weighted_conv_applies(
+    level: simd::Level,
+    geom: ConvGeometry,
+    out_c: usize,
+    out_hw: (usize, usize),
+    weights_finite: bool,
+    scan: SpikeScan,
+    len: usize,
+) -> bool {
+    let fused_tiles = level != simd::Level::Avx2
+        || (out_c.is_multiple_of(MR) && (out_hw.0 * out_hw.1).is_multiple_of(NR));
+    let (num, den) = WEIGHTED_EVENT_DENSITY;
+    weights_finite && spike_conv_fits(geom) && fused_tiles && scan.nonzero * den <= len * num
+}
+
+/// The densest non-binary input, as `(numerator, denominator)` of the
+/// share of nonzero entries, that takes the weighted event path: the
+/// crossover against the GEMM, measured with the
+/// `conv_{events,gemm}_8x8x8_o16_batch5_q{25,50,75}` kernel-bench rows.
+pub const WEIGHTED_EVENT_DENSITY: (usize, usize) = (1, 2);
+
+/// Rows (output channels) of the GEMM's fused register tile.
+const MR: usize = simd::kernels::MR;
+/// Columns (output pixels) of the GEMM's fused register tile.
+const NR: usize = simd::kernels::NR;
+
 /// Lanes per tap block: each tap vector is padded to whole 8-lane blocks.
 const LANES: usize = 8;
 
@@ -644,7 +692,7 @@ fn copy_out_row(
     }
 }
 
-/// The geometry [`add_spikes`] walks: the input's `channels × h × w`
+/// The geometry [`add_events`] walks: the input's `channels × h × w`
 /// planes, and in lanes the taps of one kernel row (`seg = kw·O'`), one
 /// margin cell (`padded = O'`) and one margin row (`mrow`).
 #[derive(Clone, Copy)]
@@ -658,19 +706,21 @@ struct SpikeWalk {
     mrow: usize,
 }
 
-/// Adds every spike of one item `src` into the margin accumulator `acc`.
+/// Adds every nonzero entry `q` of one item `src` into the margin
+/// accumulator `acc`: as `q·tap` when `WEIGHTED`, else as a spike (`tap`).
 ///
 /// Each input row gets a [`simd::nonzero_mask`] word per 64 entries.
 /// Rows of up to 32 entries share a word at a power-of-two stride (8, 16
 /// or 32 bits), so a bit's row and column come from a shift and a mask,
 /// never a division, and one walk serves several short rows. The set bits
-/// are walked in ascending order, which visits spikes in ascending
-/// `(y, x)`: a spike adds each of its channel's `kh` kernel rows of taps,
-/// `seg` lanes, to the margin row it reaches as one [`simd::add_assign`].
-/// Inlined into one copy per `level`, so the kernels dispatch at compile
-/// time.
+/// are walked in ascending order, which visits entries in ascending
+/// `(y, x)`: an entry adds each of its channel's `kh` kernel rows of taps,
+/// `seg` lanes, to the margin row it reaches as one [`simd::axpy`] (or
+/// [`simd::add_assign`], which a spike's exact `1·tap` needs no multiply
+/// for, and which keeps the spike walk ~25% faster). Inlined into one copy
+/// per `level`, so the kernels dispatch at compile time.
 #[inline(always)]
-fn add_spikes<const SEG: usize>(
+fn add_events<const SEG: usize, const WEIGHTED: bool>(
     level: simd::Level,
     src: &[f32],
     taps: &[f32],
@@ -713,12 +763,13 @@ fn add_spikes<const SEG: usize>(
                     let (y, x) = (y0 + (bit >> shift), x0 + (bit & (row_bits - 1)));
                     let at = y * mrow + x * padded;
                     for a in 0..kh {
-                        let cells = at + a * mrow;
-                        simd::add_assign(
-                            level,
-                            &mut acc[cells..cells + seg],
-                            &kernel[a * seg..(a + 1) * seg],
-                        );
+                        let cells = &mut acc[at + a * mrow..at + a * mrow + seg];
+                        let taps = &kernel[a * seg..(a + 1) * seg];
+                        if WEIGHTED {
+                            simd::axpy(level, plane[y * w + x], taps, cells);
+                        } else {
+                            simd::add_assign(level, cells, taps);
+                        }
                     }
                 }
             }
@@ -746,9 +797,9 @@ fn add_spikes<const SEG: usize>(
 /// `(y, x)` order: a spike at `(y, x)` adds kernel row `a` of its
 /// channel's taps to the `kw` cells from `(y+a, x)` as one
 /// [`simd::add_assign`] over `kw·O'` lanes, so no tap needs a bounds test
-/// and no position needs a division. Each in-image margin row is then
-/// copied out by [`simd::transpose_8x8`] into `[O, out_h, out_w]`, and the
-/// bias added in the order [`conv2d`] adds it.
+/// and no position needs a division. Each in-image margin row then gets
+/// the bias plus `+0` (one add per element; see [`conv2d_weighted_events`])
+/// and is copied out by [`simd::transpose_8x8`] into `[O, out_h, out_w]`.
 ///
 /// # Errors
 ///
@@ -757,6 +808,49 @@ fn add_spikes<const SEG: usize>(
 /// from `O`, the kernel does not fit the padded input, or
 /// [`spike_conv_fits`] does not hold.
 pub fn conv2d_spikes(
+    input: &Tensor,
+    taps: &ConvTaps,
+    bias: Option<&Tensor>,
+    geom: ConvGeometry,
+) -> Result<Tensor> {
+    conv2d_events::<false>(input, taps, bias, geom)
+}
+
+/// Event-driven forward convolution of any input: every nonzero input
+/// entry `q` (NaN and ±inf included) adds `q` times its tap vectors, with
+/// no im2col.
+///
+/// * `input` — `[N, C, H, W]`; zeros of either sign are skipped
+/// * `taps` — the kernel as [`ConvTaps`]
+/// * `bias` — optional `[O]`
+///
+/// Returns `[N, O, out_h, out_w]`. When [`weighted_conv_applies`] holds at
+/// the current SIMD level, the result is bitwise equal to [`conv2d`] on
+/// the same kernel.
+///
+/// The walk is [`conv2d_spikes`]' with one [`simd::axpy`] of `q` per
+/// kernel row in place of the add: fused at `Avx2`, unfused below, as the
+/// GEMM's full tiles are. A fused product that underflows can leave a `-0`
+/// accumulator where the GEMM, adding `0·w` for a skipped zero input, has
+/// `+0`; the GEMM then stores `0 + acc` into its zeroed output. The
+/// copy-out's add of `b + 0` (`+0` without a bias) gives the same bits:
+/// `acc + (b + 0)` equals `(0 + acc) + b` for every `acc` and `b`.
+///
+/// # Errors
+///
+/// As for [`conv2d_spikes`].
+pub fn conv2d_weighted_events(
+    input: &Tensor,
+    taps: &ConvTaps,
+    bias: Option<&Tensor>,
+    geom: ConvGeometry,
+) -> Result<Tensor> {
+    conv2d_events::<true>(input, taps, bias, geom)
+}
+
+/// The body of [`conv2d_spikes`] (`WEIGHTED` false) and
+/// [`conv2d_weighted_events`] (`WEIGHTED` true).
+fn conv2d_events<const WEIGHTED: bool>(
     input: &Tensor,
     taps: &ConvTaps,
     bias: Option<&Tensor>,
@@ -787,7 +881,12 @@ pub fn conv2d_spikes(
         }
     }
     let (out_h, out_w) = geom.output_hw(h, w)?;
-    let _span = tcl_telemetry::span_with("conv2d_spikes", || {
+    let name = if WEIGHTED {
+        "conv2d_weighted_events"
+    } else {
+        "conv2d_spikes"
+    };
+    let _span = tcl_telemetry::span_with(name, || {
         vec![
             ("batch", n as f64),
             ("in_c", c as f64),
@@ -813,25 +912,28 @@ pub fn conv2d_spikes(
     let col_width = out_h * out_w;
     let item_in = c * h * w;
     let item_out = out_c * col_width;
+    let row_lanes = out_w * padded;
     let mut out = Tensor::zeros([n, out_c, out_h, out_w]);
     let level = simd::current();
-    // One item: its spikes into the zeroed margin, then the in-image
-    // window out as `[O, out_h, out_w]`.
-    let spike_item = |level, src: &[f32], acc: &mut [f32], dst: &mut [f32]| {
+    // One item: its entries into the zeroed margin, then the in-image
+    // window, bias added, out as `[O, out_h, out_w]`.
+    let event_item = |level, src: &[f32], acc: &mut [f32], bias_row: &[f32], dst: &mut [f32]| {
         // The same walk, with the tap-row length a constant for a 3×3
-        // kernel into 8 or 16 channels (cnn6's IF-fed convolutions): the
-        // adds then unroll, which halves their cost.
+        // kernel into 8 or 16 channels (cnn6's event-driven convolutions):
+        // the adds then unroll, which halves their cost.
         match walk.seg {
-            24 => add_spikes::<24>(level, src, taps, acc, walk),
-            48 => add_spikes::<48>(level, src, taps, acc, walk),
-            _ => add_spikes::<0>(level, src, taps, acc, walk),
+            24 => add_events::<24, WEIGHTED>(level, src, taps, acc, walk),
+            48 => add_events::<48, WEIGHTED>(level, src, taps, acc, walk),
+            _ => add_events::<0, WEIGHTED>(level, src, taps, acc, walk),
         }
         for oy in 0..out_h {
-            let cells = &acc[(oy + top) * mrow + left * padded..(oy + top + 1) * mrow];
+            let row = (oy + top) * mrow + left * padded;
+            let cells = &mut acc[row..row + row_lanes];
+            simd::add_assign(level, cells, bias_row);
             copy_out_row(level, cells, padded, out_c, oy, out_w, col_width, dst);
         }
     };
-    // The dense add count, as conv2d estimates its multiply-adds.
+    // The dense multiply-add count, as conv2d estimates it.
     let min_items = min_items_per_worker(item_in * kh * kw * out_c);
     par::par_items_mut(
         par::current(),
@@ -840,25 +942,28 @@ pub fn conv2d_spikes(
         1,
         min_items,
         |first_item, run| {
-            SPIKE_ACC.with_borrow_mut(|acc| {
-                acc.resize(mh * mrow, 0.0);
+            SPIKE_ACC.with_borrow_mut(|buf| {
+                buf.resize(mh * mrow + row_lanes, 0.0);
+                let (acc, bias_row) = buf.split_at_mut(mh * mrow);
+                // One margin row of `b + 0` (zeros without a bias): adding
+                // it is `conv2d`'s `(0 + acc) + b`, `-0` included.
+                for cell in bias_row.chunks_exact_mut(padded.max(1)) {
+                    for (o, v) in cell.iter_mut().enumerate() {
+                        *v = bias.and_then(|b| b.data().get(o)).map_or(0.0, |&b| b + 0.0);
+                    }
+                }
                 for (i, dst) in run.chunks_exact_mut(item_out.max(1)).enumerate() {
                     let ni = first_item + i;
                     let src = &input.data()[ni * item_in..(ni + 1) * item_in];
                     acc.fill(0.0);
                     // One copy of the item per level, so the kernels' level
-                    // dispatch folds away inside the per-spike loop.
+                    // dispatch folds away inside the per-entry loop.
                     match level {
-                        simd::Level::Scalar => spike_item(simd::Level::Scalar, src, acc, dst),
-                        simd::Level::Wide => spike_item(simd::Level::Wide, src, acc, dst),
-                        simd::Level::Avx2 => spike_item(simd::Level::Avx2, src, acc, dst),
-                    }
-                    if let Some(b) = bias {
-                        for (o, &bv) in b.data().iter().enumerate() {
-                            for v in dst[o * col_width..(o + 1) * col_width].iter_mut() {
-                                *v += bv;
-                            }
+                        simd::Level::Scalar => {
+                            event_item(simd::Level::Scalar, src, acc, bias_row, dst)
                         }
+                        simd::Level::Wide => event_item(simd::Level::Wide, src, acc, bias_row, dst),
+                        simd::Level::Avx2 => event_item(simd::Level::Avx2, src, acc, bias_row, dst),
                     }
                 }
             });

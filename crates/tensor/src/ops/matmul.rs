@@ -44,6 +44,7 @@
 use crate::error::{Result, TensorError};
 use crate::par::{self, Parallelism};
 use crate::tensor::Tensor;
+use serde::{Deserialize, Serialize};
 use tcl_simd::Level;
 
 /// Rows per register tile; must match [`tcl_simd::kernels::MR`].
@@ -198,6 +199,99 @@ pub fn matmul_into_with(
     k: usize,
     n: usize,
 ) {
+    product_into(par, a, b, None, out, m, k, n);
+}
+
+/// A constant `[k, n]` right-hand operand with its full `NR`-column tiles
+/// packed once: tile `t` holds columns `t·NR..(t+1)·NR` of every row,
+/// `k`-major (`tiles[t·k·NR + p·NR + j] = b[p][t·NR + j]`), the layout
+/// the blocked kernel otherwise copies each tile into on every call. The
+/// row-major operand is kept beside it, because the narrow, ragged-edge and
+/// zero-skip kernels read that layout.
+///
+/// [`matmul_into_packed`] with it computes [`matmul_into`]'s bits: the
+/// tiles hold the same values, and the kernel reads them in the same
+/// order. Build it once per constant operand, not per call.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct PackedPanel {
+    /// `[k, n]`, row-major.
+    panel: Tensor,
+    /// The `n / NR` full column tiles, each `[k][NR]`.
+    tiles: Vec<f32>,
+}
+
+impl PackedPanel {
+    /// Packs `panel`'s full column tiles.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] if `panel` is not rank 2.
+    pub fn new(panel: Tensor) -> Result<Self> {
+        let (k, n) = panel.shape().as_matrix()?;
+        let full_tiles = n - n % NR;
+        let mut tiles = vec![0.0f32; full_tiles * k];
+        for (tile, j0) in tiles
+            .chunks_exact_mut((k * NR).max(1))
+            .zip((0..full_tiles).step_by(NR))
+        {
+            for (dst, row) in tile.chunks_exact_mut(NR).zip(panel.data().chunks_exact(n)) {
+                dst.copy_from_slice(&row[j0..j0 + NR]);
+            }
+        }
+        Ok(PackedPanel { panel, tiles })
+    }
+
+    /// The row-major `[k, n]` operand.
+    pub fn panel(&self) -> &Tensor {
+        &self.panel
+    }
+
+    /// Scales every entry in place, in both layouts.
+    pub fn scale_inplace(&mut self, factor: f32) {
+        self.panel.scale_inplace(factor);
+        for v in &mut self.tiles {
+            *v *= factor;
+        }
+    }
+}
+
+/// `a @ b` accumulated into `out` for a [`PackedPanel`] `b` of `[k, n]`,
+/// with `a` `[m, k]`: [`matmul_into`]'s kernel, thread split and bits,
+/// reading `b`'s full column tiles from the panel instead of copying them.
+/// Uses the process-default thread budget.
+///
+/// # Panics
+///
+/// Panics (debug assertions) if the slice lengths are inconsistent with
+/// `m` and the panel's shape.
+pub fn matmul_into_packed(a: &[f32], b: &PackedPanel, out: &mut [f32], m: usize) {
+    let (k, n) = (b.panel.dims()[0], b.panel.dims()[1]);
+    product_into(
+        par::current(),
+        a,
+        b.panel.data(),
+        Some(&b.tiles),
+        out,
+        m,
+        k,
+        n,
+    );
+}
+
+/// The body of [`matmul_into_with`] and [`matmul_into_packed`]: `b`'s full
+/// column tiles come from `tiles` when the operand is prepacked, else each
+/// is packed per call.
+#[allow(clippy::too_many_arguments)] // kernel entry: operands plus geometry
+fn product_into(
+    par: Parallelism,
+    a: &[f32],
+    b: &[f32],
+    tiles: Option<&[f32]>,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
@@ -215,7 +309,7 @@ pub fn matmul_into_with(
     par::par_items_mut(par, out, n, MR, min_rows, |first_row, out_rows| {
         let rows = out_rows.len() / n;
         let a_rows = &a[first_row * k..(first_row + rows) * k];
-        kernel_rows(level, a_rows, b, out_rows, rows, k, n);
+        kernel_rows(level, a_rows, b, tiles, out_rows, rows, k, n);
     });
 }
 
@@ -225,17 +319,22 @@ pub fn matmul_into_with(
 ///
 /// Full `MR`-row bands are packed into a `p`-major scratch buffer once per
 /// band, so the hot tile loop streams two contiguous pointers (packed A,
-/// B rows) instead of `MR` strided row cursors. Packing copies each A
+/// B tile) instead of `MR` strided row cursors. Packing copies each A
 /// element once per band — `O(rows·k)` against the `O(rows·k·n)` multiply.
+/// Each full `NR`-column B tile comes from `tiles` when the operand is
+/// prepacked ([`PackedPanel`]); otherwise it is copied into a scratch tile
+/// when a full band reads it, and read in place by the ragged rows alone.
 /// Full tiles dispatch to [`tcl_simd::gebp_4x16`] at the caller-resolved
 /// `level`. The ragged bottom rows (fewer than `MR`) run [`ragged_tile`],
 /// whose height is a compile-time constant, and the ragged right columns
 /// the general [`micro_tile`]; neither fuses — the source of `Avx2`'s
 /// row-position dependence (module docs).
+#[allow(clippy::too_many_arguments)] // kernel body: operands plus geometry
 fn kernel_rows(
     level: Level,
     a: &[f32],
     b: &[f32],
+    tiles: Option<&[f32]>,
     out: &mut [f32],
     rows: usize,
     k: usize,
@@ -245,67 +344,76 @@ fn kernel_rows(
         matmul_into_naive(a, b, out, rows, k, n);
         return;
     }
+    if k == 0 {
+        // An empty sum: nothing to accumulate, and no band to pack.
+        return;
+    }
     let full_bands = rows - rows % MR;
     let full_tiles = n - n % NR;
     let edge = n - full_tiles;
-    if full_bands > 0 {
-        // A is packed once, `p`-major within each MR-row band
-        // (`a_pack[band][p·MR + r] = a[band·MR + r][p]`); each B tile is
-        // packed contiguous per `j0`. Both copies are `O(size)` against the
-        // `O(m·k·n)` multiply, and they let the hot loop stream two dense
-        // cursors with the B tile L1-resident across every band. Without a
-        // full band nothing reads them, so they are skipped.
-        let mut a_pack = vec![0.0f32; full_bands * k];
-        for (band, band_pack) in a_pack.chunks_exact_mut(MR * k).enumerate() {
-            for r in 0..MR {
-                let row = &a[(band * MR + r) * k..(band * MR + r + 1) * k];
-                for (p, &v) in row.iter().enumerate() {
-                    band_pack[p * MR + r] = v;
-                }
-            }
-        }
-        let mut b_pack = vec![0.0f32; k * NR];
-        for j0 in (0..full_tiles).step_by(NR) {
-            for (bp, brow) in b_pack.chunks_exact_mut(NR).zip(b[j0..].chunks(n)) {
-                bp.copy_from_slice(&brow[..NR]);
-            }
-            for (band, band_pack) in a_pack.chunks_exact(MR * k).enumerate() {
-                tcl_simd::gebp_4x16(level, band_pack, &b_pack, k, out, band * MR, j0, n);
-            }
-        }
-        if edge > 0 {
-            // Ragged right edge: general tile over the original layouts.
-            for i0 in (0..full_bands).step_by(MR) {
-                micro_tile(a, b, out, i0, full_tiles, MR, edge, k, n);
+    let tail = rows - full_bands;
+    // A is packed once, `p`-major within each MR-row band
+    // (`a_pack[band][p·MR + r] = a[band·MR + r][p]`). The copy is `O(size)`
+    // against the `O(m·k·n)` multiply, and it lets the hot loop stream two
+    // dense cursors with the B tile L1-resident across every band.
+    let mut a_pack = vec![0.0f32; full_bands * k];
+    for (band, band_pack) in a_pack.chunks_exact_mut(MR * k).enumerate() {
+        for r in 0..MR {
+            let row = &a[(band * MR + r) * k..(band * MR + r + 1) * k];
+            for (p, &v) in row.iter().enumerate() {
+                band_pack[p * MR + r] = v;
             }
         }
     }
-    // Ragged bottom rows (fewer than MR): full-width tiles at a fixed
-    // height, then the ragged corner.
-    let tail = rows - full_bands;
-    if tail > 0 {
-        for j0 in (0..full_tiles).step_by(NR) {
-            match tail {
-                1 => ragged_tile::<1>(a, b, out, full_bands, j0, k, n),
-                2 => ragged_tile::<2>(a, b, out, full_bands, j0, k, n),
-                _ => ragged_tile::<3>(a, b, out, full_bands, j0, k, n),
+    let mut b_pack = Vec::new();
+    for j0 in (0..full_tiles).step_by(NR) {
+        // The tile and its row stride.
+        let (tile, stride) = match tiles {
+            Some(tiles) => (&tiles[j0 * k..(j0 + NR) * k], NR),
+            None if full_bands > 0 => {
+                b_pack.resize(k * NR, 0.0);
+                for (bp, brow) in b_pack.chunks_exact_mut(NR).zip(b[j0..].chunks(n)) {
+                    bp.copy_from_slice(&brow[..NR]);
+                }
+                (&b_pack[..], NR)
             }
+            None => (&b[j0..], n),
+        };
+        for (band, band_pack) in a_pack.chunks_exact(MR * k).enumerate() {
+            tcl_simd::gebp_4x16(level, band_pack, tile, k, out, band * MR, j0, n);
         }
-        if edge > 0 {
+        // Ragged bottom rows (fewer than MR), at a fixed height.
+        match tail {
+            0 => {}
+            1 => ragged_tile::<1>(a, tile, stride, out, full_bands, j0, k, n),
+            2 => ragged_tile::<2>(a, tile, stride, out, full_bands, j0, k, n),
+            _ => ragged_tile::<3>(a, tile, stride, out, full_bands, j0, k, n),
+        }
+    }
+    if edge > 0 {
+        // Ragged right edge: general tile over the original layouts, the
+        // full bands first, then the ragged corner.
+        for i0 in (0..full_bands).step_by(MR) {
+            micro_tile(a, b, out, i0, full_tiles, MR, edge, k, n);
+        }
+        if tail > 0 {
             micro_tile(a, b, out, full_bands, full_tiles, tail, edge, k, n);
         }
     }
 }
 
 /// One `H`×`NR` output tile (`H < MR`, rows `i0..i0 + H`, columns
-/// `j0..j0 + NR`). With the height a constant the accumulators stay in
-/// registers across the whole `k` range; each element accumulates
-/// `acc += a·b` unfused in ascending `k` from zero, then one `+=` store —
-/// the order of [`micro_tile`] and [`matmul_into_naive`] on a zeroed output.
+/// `j0..j0 + NR`), whose B tile row `p` is `tile[p·stride..][..NR]`. With
+/// the height a constant the accumulators stay in registers across the
+/// whole `k` range; each element accumulates `acc += a·b` unfused in
+/// ascending `k` from zero, then one `+=` store — the order of
+/// [`micro_tile`] and [`matmul_into_naive`] on a zeroed output.
 #[inline]
+#[allow(clippy::too_many_arguments)] // edge-tile kernel: all args are tight-loop geometry
 fn ragged_tile<const H: usize>(
     a: &[f32],
-    b: &[f32],
+    tile: &[f32],
+    stride: usize,
     out: &mut [f32],
     i0: usize,
     j0: usize,
@@ -315,7 +423,7 @@ fn ragged_tile<const H: usize>(
     let a_rows: [&[f32]; H] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
     let mut acc = [[0.0f32; NR]; H];
     for p in 0..k {
-        let b_row: &[f32; NR] = b[p * n + j0..p * n + j0 + NR]
+        let b_row: &[f32; NR] = tile[p * stride..p * stride + NR]
             .try_into()
             // lint: allow(P1) the slice is exactly NR long by the range
             .expect("tile is NR wide");
@@ -704,6 +812,70 @@ mod tests {
             );
             assert_eq!(serial, parallel, "threads {threads}");
         }
+    }
+
+    #[test]
+    fn packed_panel_matches_per_call_packing_bitwise() {
+        // Ragged rows, ragged columns, a single tile, narrow outputs, and
+        // thread counts that split the rows.
+        for &(m, k, n) in &[
+            (1usize, 7usize, 16usize),
+            (3, 20, 33),
+            (5, 64, 128),
+            (12, 33, 47),
+            (37, 23, 64),
+            (6, 9, 5),
+            (4, 0, 32),
+        ] {
+            let a = fill(m, k, 31 + m as u64);
+            let b = fill(k, n, 32 + n as u64);
+            let packed = PackedPanel::new(b.clone()).unwrap();
+            for level in tcl_simd::Level::available() {
+                tcl_simd::with_level(level, || {
+                    let mut want = vec![0.5f32; m * n];
+                    matmul_into_with(
+                        Parallelism::serial(),
+                        a.data(),
+                        b.data(),
+                        &mut want,
+                        m,
+                        k,
+                        n,
+                    );
+                    for threads in [1usize, 2, 4] {
+                        let mut got = vec![0.5f32; m * n];
+                        product_into(
+                            Parallelism::new(threads),
+                            a.data(),
+                            b.data(),
+                            Some(&packed.tiles),
+                            &mut got,
+                            m,
+                            k,
+                            n,
+                        );
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{} {m}x{k}x{n} threads {threads}",
+                            level.name()
+                        );
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn packed_panel_scales_both_layouts() {
+        let b = fill(9, 40, 3);
+        let mut packed = PackedPanel::new(b.clone()).unwrap();
+        packed.scale_inplace(0.3);
+        let scaled = PackedPanel::new(b.scale(0.3)).unwrap();
+        assert_eq!(packed.panel(), scaled.panel());
+        assert_eq!(packed.tiles, scaled.tiles);
+        assert!(PackedPanel::new(Tensor::zeros([2, 3, 4])).is_err());
     }
 
     #[test]

@@ -15,10 +15,21 @@
 //! The properties below pin that over random geometries, densities and
 //! signed zeros, and pin that every other case is left to the GEMM, where
 //! NaN still propagates.
+//!
+//! On any other input — pooled spike counts `q ∈ {¼, ½, ¾, 1}`, arbitrary
+//! fractions, NaN and ±inf — `conv2d_weighted_events` runs the same walk
+//! adding `q·tap` with the multiply-add of the GEMM's full tiles (fused at
+//! AVX2 only). Where
+//! `weighted_conv_applies` holds its contract is the same bitwise equality:
+//! at AVX2 the gate admits only geometries the GEMM covers with full 4×16
+//! tiles (output channels × output pixels), and the copy-out adds `+0` as
+//! the GEMM's store does, so a `-0` accumulator (a fused product that
+//! underflows) leaves as the GEMM's `+0`.
 
 use proptest::prelude::*;
 use tcl_tensor::ops::{
-    conv2d, conv2d_spikes, spike_conv_applies, spike_conv_fits, ConvGeometry, ConvTaps, SpikeScan,
+    conv2d, conv2d_spikes, conv2d_weighted_events, spike_conv_applies, spike_conv_fits,
+    weighted_conv_applies, ConvGeometry, ConvTaps, SpikeScan, WEIGHTED_EVENT_DENSITY,
 };
 use tcl_tensor::{simd, SeededRng, Tensor};
 
@@ -60,8 +71,174 @@ fn weights(rng: &mut SeededRng, dims: [usize; 4]) -> Tensor {
     w
 }
 
+/// What a non-binary input holds: pooled spike counts, arbitrary
+/// fractions of either sign, or pooled counts sprinkled with NaN and ±inf.
+#[derive(Debug, Clone, Copy)]
+enum Values {
+    Pooled,
+    Fractions,
+    NonFinite,
+}
+
+/// A non-binary input: each entry nonzero with probability `density`,
+/// drawn from `values`, else a zero of either sign.
+fn weighted_raster(rng: &mut SeededRng, dims: [usize; 4], density: f32, values: Values) -> Tensor {
+    let len = dims.iter().product();
+    let data = (0..len)
+        .map(|_| {
+            if rng.uniform(0.0, 1.0) >= density {
+                return if rng.below(4) == 0 { -0.0 } else { 0.0 };
+            }
+            let pooled = (1 + rng.below(4)) as f32 * 0.25;
+            match values {
+                Values::Pooled => pooled,
+                Values::Fractions => rng.normal() * 0.7,
+                Values::NonFinite => match rng.below(16) {
+                    0 => f32::NAN,
+                    1 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    _ => pooled,
+                },
+            }
+        })
+        .collect();
+    Tensor::from_vec(dims, data).unwrap()
+}
+
+/// Bits, with every NaN read as one canonical NaN: IEEE 754 leaves a NaN
+/// result's payload to the hardware, which may pick either NaN operand.
+fn nan_bits(t: &Tensor) -> Vec<u32> {
+    t.data()
+        .iter()
+        .map(|v| {
+            if v.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// Whether the weighted path's gate holds for `x` at `level`.
+fn weighted_gate(level: simd::Level, x: &Tensor, out_c: usize, geom: ConvGeometry) -> bool {
+    let (_, _, h, w) = x.shape().as_nchw().unwrap();
+    let out_hw = geom.output_hw(h, w).unwrap();
+    weighted_conv_applies(
+        level,
+        geom,
+        out_c,
+        out_hw,
+        true,
+        SpikeScan::of(x.data()),
+        x.len(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On non-binary input with finite weights the weighted event path
+    /// equals `conv2d` bitwise at every level whose gate admits the call:
+    /// always at scalar and wide (at or below the density crossover), and
+    /// at AVX2 when the output fills whole 4×16 GEMM tiles. Half the cases
+    /// draw such a geometry (output channels a multiple of 4, "same"
+    /// padding on a plane of a multiple of 16 pixels), so AVX2 is covered.
+    #[test]
+    fn weighted_path_equals_gemm_bitwise(
+        batch in 1usize..5,
+        in_c in 1usize..13,
+        out_c in 1usize..21,
+        in_h in 1usize..14,
+        in_w in 1usize..14,
+        kernel in 1usize..6,
+        pad_pick in 0usize..5,
+        tiled_pick in 0u8..2,
+        density_pick in 0usize..3,
+        values_pick in 0usize..3,
+        with_bias in 0u8..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let tiled = tiled_pick == 1;
+        let (out_c, in_h, in_w, geom) = if tiled {
+            // Odd kernel, "same" padding: the output plane is the input's.
+            let k = 2 * (kernel / 2) + 1;
+            let (h, w) = [(4, 4), (4, 8), (2, 8), (8, 8), (1, 16), (3, 16)][in_h % 6];
+            (4 * (1 + out_c % 5), h, w, ConvGeometry::square(k, 1, k / 2).unwrap())
+        } else {
+            (out_c, in_h, in_w, ConvGeometry::new(kernel, (in_w % 5) + 1, 1, pad_pick % kernel.min((in_w % 5) + 1)).unwrap())
+        };
+        let mut rng = SeededRng::new(seed);
+        let density = [0.05, 0.25, 0.5][density_pick];
+        let values = [Values::Pooled, Values::Fractions, Values::NonFinite][values_pick];
+        let x = weighted_raster(&mut rng, [batch, in_c, in_h, in_w], density, values);
+        let w = weights(&mut rng, [out_c, in_c, geom.kernel_h, geom.kernel_w]);
+        // No bias, a random bias, or one holding zeros of both signs.
+        let bias = match with_bias {
+            0 => None,
+            1 => Some(rng.uniform_tensor([out_c], -0.5, 0.5)),
+            _ => Some(Tensor::from_fn([out_c], |o| if o % 2 == 0 { -0.0 } else { 0.0 })),
+        };
+        let taps = ConvTaps::new(&w).unwrap();
+        if geom.output_hw(in_h, in_w).is_err() {
+            prop_assert!(conv2d_weighted_events(&x, &taps, bias.as_ref(), geom).is_err());
+            return Ok(());
+        }
+        let scan = SpikeScan::of(x.data());
+        // At or below the crossover, the gate's density half holds.
+        let (num, den) = WEIGHTED_EVENT_DENSITY;
+        prop_assume!(scan.nonzero * den <= x.len() * num);
+        for level in simd::Level::available() {
+            let admitted = weighted_gate(level, &x, out_c, geom);
+            prop_assert!(admitted || level == simd::Level::Avx2, "{}", level.name());
+            if tiled {
+                prop_assert!(admitted, "{} refused a tiled geometry", level.name());
+            }
+            if !admitted {
+                continue;
+            }
+            simd::with_level(level, || -> Result<(), TestCaseError> {
+                let want = conv2d(&x, &w, bias.as_ref(), geom).unwrap();
+                let got = conv2d_weighted_events(&x, &taps, bias.as_ref(), geom).unwrap();
+                prop_assert_eq!(got.dims(), want.dims());
+                prop_assert_eq!(
+                    nan_bits(&got), nan_bits(&want), "{} {:?} {:?}", level.name(), geom, values
+                );
+                Ok(())
+            })?;
+        }
+    }
+
+    /// The gate's parts: at scalar and wide it is the geometry fit, finite
+    /// weights and the density crossover; at AVX2 it further refuses output
+    /// channels that leave a ragged 4-row band and output planes that
+    /// leave a ragged 16-column tile, where the GEMM does not fuse.
+    #[test]
+    fn weighted_gate_refuses_ragged_gemm_tiles_at_avx2(
+        out_c in 1usize..40,
+        out_h in 1usize..40,
+        out_w in 1usize..40,
+        kernel in 1usize..6,
+        stride in 1usize..3,
+        padding in 0usize..6,
+        nonzero in 0usize..200,
+        len in 1usize..200,
+        finite_pick in 0u8..2,
+        binary_pick in 0u8..2,
+    ) {
+        let (finite, binary) = (finite_pick == 1, binary_pick == 1);
+        let geom = ConvGeometry::square(kernel, stride, padding).unwrap();
+        let scan = SpikeScan { nonzero: nonzero.min(len), binary };
+        let (num, den) = WEIGHTED_EVENT_DENSITY;
+        let unfused = finite && spike_conv_fits(geom) && scan.nonzero * den <= len * num;
+        let gate = |level| weighted_conv_applies(level, geom, out_c, (out_h, out_w), finite, scan, len);
+        prop_assert_eq!(gate(simd::Level::Scalar), unfused);
+        prop_assert_eq!(gate(simd::Level::Wide), unfused);
+        prop_assert_eq!(
+            gate(simd::Level::Avx2),
+            unfused && out_c % 4 == 0 && (out_h * out_w) % 16 == 0
+        );
+    }
 
     /// On binary input with finite weights the event path equals `conv2d`
     /// bitwise at every available SIMD level.
@@ -183,6 +360,58 @@ proptest! {
             } else {
                 prop_assert!(plane.iter().all(|v| !v.is_finite()));
             }
+        }
+    }
+}
+
+/// A fused product that underflows leaves a `-0` accumulator, which the
+/// GEMM's next zero input (`+0` when its weight is positive) turns into
+/// `+0`, and which the GEMM's store into a zeroed output would turn into
+/// `+0` anyway; the weighted walk skips that input, so its copy-out must
+/// add the `+0` itself. Bias zeros of either sign are kept as the GEMM
+/// keeps them. A 1×1 kernel on a 4×4 plane into 4 outputs fills whole
+/// GEMM tiles, so the gate admits it at every level.
+#[test]
+fn an_underflowing_product_leaves_as_the_gemms_zero() {
+    let geom = ConvGeometry::square(1, 1, 0).unwrap();
+    // Channel 0 is ¼ everywhere, channel 1 zero everywhere.
+    let x = Tensor::from_fn([1, 2, 4, 4], |i| if i < 16 { 0.25 } else { 0.0 });
+    let smallest = -f32::from_bits(1); // the negative subnormal closest to 0
+    let w = Tensor::from_fn([4, 2, 1, 1], |i| if i % 2 == 0 { smallest } else { 1.0 });
+    let taps = ConvTaps::new(&w).unwrap();
+    for bias in [None, Some(Tensor::from_slice(&[-0.0, 0.0, -0.0, 0.0]))] {
+        for level in simd::Level::available() {
+            assert!(weighted_gate(level, &x, 4, geom), "{}", level.name());
+            simd::with_level(level, || {
+                let want = conv2d(&x, &w, bias.as_ref(), geom).unwrap();
+                let got = conv2d_weighted_events(&x, &taps, bias.as_ref(), geom).unwrap();
+                assert!(want.data().iter().all(|v| v.to_bits() == 0), "{want}");
+                assert_eq!(bits(&got), bits(&want), "{} bias {bias:?}", level.name());
+            });
+        }
+    }
+}
+
+/// cnn6's pooled-input convolution (node 3: 8 channels of 8×8 pooled
+/// spikes into 16 outputs, a padded 3×3 kernel) at batch 1 to 32 and the
+/// pooled maps' ~25% density: the gate admits it at every level, and the
+/// weighted walk equals `conv2d` bitwise.
+#[test]
+fn cnn6_pooled_geometry_takes_the_weighted_path_at_every_level() {
+    let mut rng = SeededRng::new(24);
+    let geom = ConvGeometry::square(3, 1, 1).unwrap();
+    let w = weights(&mut rng, [16, 8, 3, 3]);
+    let b = rng.uniform_tensor([16], -0.1, 0.1);
+    let taps = ConvTaps::new(&w).unwrap();
+    for batch in [1, 4, 5, 32] {
+        let x = weighted_raster(&mut rng, [batch, 8, 8, 8], 0.25, Values::Pooled);
+        for level in simd::Level::available() {
+            assert!(weighted_gate(level, &x, 16, geom), "{}", level.name());
+            simd::with_level(level, || {
+                let want = conv2d(&x, &w, Some(&b), geom).unwrap();
+                let got = conv2d_weighted_events(&x, &taps, Some(&b), geom).unwrap();
+                assert_eq!(bits(&got), bits(&want), "{} batch {batch}", level.name());
+            });
         }
     }
 }
