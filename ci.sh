@@ -141,6 +141,13 @@ for isa in scalar wide; do
   TCL_SIMD=$isa cargo test -q -p tcl-core --test spike_path
 done
 
+# SpikeNorm calibrates by stepping kernels outside any serial scope, so the
+# conversion fingerprints must not move with the worker count.
+for t in 1 4; do
+  echo "==> cargo test -p tcl-core conversion_fingerprint (TCL_THREADS=$t)"
+  TCL_THREADS=$t cargo test -q -p tcl-core --test conversion_fingerprint
+done
+
 elapsed=$(( $(date +%s) - test_start ))
 budget="${TCL_TEST_BUDGET_S:-1200}"
 if [ "$elapsed" -gt "$budget" ]; then

@@ -167,9 +167,6 @@ fn bench_conv2d(c: &mut Criterion) {
     c.bench_function("conv2d_im2col_8x8x16x16", |bench| {
         bench.iter(|| ops::conv2d(&x, &w, Some(&bias), geom).unwrap())
     });
-    c.bench_function("conv2d_naive_8x8x16x16", |bench| {
-        bench.iter(|| ops::conv2d_naive(&x, &w, Some(&bias), geom).unwrap())
-    });
     let gout = rng.uniform_tensor([8, 16, 16, 16], -1.0, 1.0);
     c.bench_function("conv2d_backward_8x8x16x16", |bench| {
         bench.iter(|| ops::conv2d_backward(&x, &w, &gout, geom).unwrap())

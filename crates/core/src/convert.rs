@@ -4,7 +4,7 @@
 
 use crate::error::{ConvertError, Result};
 use crate::fold::fold_batch_norm;
-use crate::stats::{collect_activation_stats, count_sites};
+use crate::stats::{collect_activation_stats, count_sites, site_clips};
 use serde::{Deserialize, Serialize};
 use tcl_nn::layers::Shortcut;
 use tcl_nn::{Layer, Network};
@@ -201,18 +201,14 @@ impl Converter {
         folded: &Network,
         stats: &mut [crate::stats::SiteStats],
     ) -> Result<Vec<f32>> {
-        let clips = site_clip_bounds(folded);
-        let sites = count_sites(folded);
-        debug_assert_eq!(stats.len(), sites);
-        debug_assert_eq!(clips.len(), sites - 1);
-        let mut lambdas = Vec::with_capacity(sites);
-        for site in 0..sites - 1 {
+        let clips = site_clips(folded);
+        debug_assert_eq!(stats.len(), clips.len() + 1);
+        let mut lambdas = Vec::with_capacity(stats.len());
+        for (site, clip) in clips.into_iter().enumerate() {
             let lam = match self.strategy {
-                NormStrategy::TrainedClip => {
-                    clips[site].ok_or_else(|| ConvertError::MissingClip {
-                        detail: format!("activation site {site} has no clipping layer"),
-                    })?
-                }
+                NormStrategy::TrainedClip => clip.ok_or_else(|| ConvertError::MissingClip {
+                    detail: format!("activation site {site} has no clipping layer"),
+                })?,
                 NormStrategy::MaxActivation => stats[site].max(),
                 NormStrategy::Percentile(p) => {
                     if !(0.0..=1.0).contains(&p) {
@@ -230,7 +226,7 @@ impl Converter {
             // division by zero; treat it as unit scale.
             lambdas.push(if lam > 1e-6 { lam } else { 1.0 });
         }
-        let out = stats[sites - 1].max();
+        let out = stats[stats.len() - 1].max();
         lambdas.push(if out > 1e-6 { out } else { 1.0 });
         Ok(lambdas)
     }
@@ -277,39 +273,6 @@ pub(crate) fn validate_convertible(net: &Network) -> Result<()> {
     }
 }
 
-/// Per-hidden-site clip bounds (None where a site has no clipping layer),
-/// in the same order as the stats walker.
-fn site_clip_bounds(net: &Network) -> Vec<Option<f32>> {
-    let mut out = Vec::new();
-    let layers = net.layers();
-    let mut i = 0usize;
-    while i < layers.len() {
-        match &layers[i] {
-            Layer::Relu(_) => {
-                if let Some(Layer::Clip(c)) = layers.get(i + 1) {
-                    out.push(Some(c.lambda_value()));
-                    i += 1;
-                } else {
-                    out.push(None);
-                }
-            }
-            Layer::Clip(c) => out.push(Some(c.lambda_value())),
-            Layer::Residual(r) => {
-                out.push(r.clip1.as_ref().map(|c| c.lambda_value()));
-                out.push(r.clip_out.as_ref().map(|c| c.lambda_value()));
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Scales a weight tensor by `factor`.
-fn scaled(weight: &Tensor, factor: f32) -> Tensor {
-    weight.scale(factor)
-}
-
 /// Builds the virtual identity 1×1 convolution of a type-A residual block
 /// (Section 5): `channels → channels`, unit diagonal kernel.
 fn identity_conv_weight(channels: usize) -> Tensor {
@@ -349,12 +312,10 @@ pub(crate) fn emit_spiking(
     let mut i = 0usize;
     while i < layers.len() {
         match &layers[i] {
-            Layer::Conv2d(conv) => {
-                let has_activation = matches!(
-                    layers.get(i + 1),
-                    Some(Layer::Relu(_)) | Some(Layer::Clip(_))
-                );
-                let lam = if has_activation {
+            layer @ (Layer::Conv2d(_) | Layer::Linear(_)) => {
+                let is_activation =
+                    |l: Option<&Layer>| matches!(l, Some(Layer::Relu(_)) | Some(Layer::Clip(_)));
+                let lam = if is_activation(layers.get(i + 1)) {
                     let l = *lambdas.get(site).ok_or_else(|| site_underflow(site))?;
                     site += 1;
                     l
@@ -362,54 +323,33 @@ pub(crate) fn emit_spiking(
                     lambdas[hidden_sites]
                 } else {
                     return Err(ConvertError::Unsupported {
-                        detail: format!("convolution at layer {i} has no following activation"),
+                        detail: format!(
+                            "{} layer at {i} has no following activation",
+                            layer.kind_name()
+                        ),
                     });
                 };
+                // Eq. 5: Ŵ = W·λ_pre/λ, b̂ = b/λ.
+                let (w_scale, b_scale) = (lam_prev / lam, 1.0 / lam);
+                let op = match layer {
+                    Layer::Conv2d(c) => SynapticOp::conv(
+                        c.weight.value.scale(w_scale),
+                        c.bias.as_ref().map(|b| b.value.scale(b_scale)),
+                        c.geom,
+                    ),
+                    Layer::Linear(l) => SynapticOp::linear(
+                        l.weight.value.scale(w_scale),
+                        l.bias.as_ref().map(|b| b.value.scale(b_scale)),
+                    ),
+                    _ => unreachable!("matched a weighted layer"),
+                }?;
                 nodes.push(SpikingNode::Spiking(SpikingLayer::new(
-                    SynapticOp::conv(
-                        scaled(&conv.weight.value, lam_prev / lam),
-                        conv.bias.as_ref().map(|b| b.value.scale(1.0 / lam)),
-                        conv.geom,
-                    )?,
+                    op,
                     IfNeurons::new(1.0, reset),
                 )));
                 lam_prev = lam;
                 // Skip the consumed activation layers.
-                while matches!(
-                    layers.get(i + 1),
-                    Some(Layer::Relu(_)) | Some(Layer::Clip(_))
-                ) {
-                    i += 1;
-                }
-            }
-            Layer::Linear(linear) => {
-                let has_activation = matches!(
-                    layers.get(i + 1),
-                    Some(Layer::Relu(_)) | Some(Layer::Clip(_))
-                );
-                let lam = if has_activation {
-                    let l = *lambdas.get(site).ok_or_else(|| site_underflow(site))?;
-                    site += 1;
-                    l
-                } else if i + 1 == layers.len() {
-                    lambdas[hidden_sites]
-                } else {
-                    return Err(ConvertError::Unsupported {
-                        detail: format!("linear layer at {i} has no following activation"),
-                    });
-                };
-                nodes.push(SpikingNode::Spiking(SpikingLayer::new(
-                    SynapticOp::linear(
-                        scaled(&linear.weight.value, lam_prev / lam),
-                        linear.bias.as_ref().map(|b| b.value.scale(1.0 / lam)),
-                    )?,
-                    IfNeurons::new(1.0, reset),
-                )));
-                lam_prev = lam;
-                while matches!(
-                    layers.get(i + 1),
-                    Some(Layer::Relu(_)) | Some(Layer::Clip(_))
-                ) {
+                while is_activation(layers.get(i + 1)) {
                     i += 1;
                 }
             }
@@ -420,7 +360,7 @@ pub(crate) fn emit_spiking(
                 site += 2;
                 // NS (from Conv1): Ŵns = W_c1 · λ_pre/λ_c1, b̂ns = b_c1/λ_c1.
                 let ns_op = SynapticOp::conv(
-                    scaled(&block.conv1.weight.value, lam_pre / lam_c1),
+                    block.conv1.weight.value.scale(lam_pre / lam_c1),
                     block
                         .conv1
                         .bias
@@ -454,12 +394,12 @@ pub(crate) fn emit_spiking(
                 };
                 let combined_bias = c2_bias.add(&sh_bias)?.scale(1.0 / lam_out);
                 let os_main = SynapticOp::conv(
-                    scaled(&block.conv2.weight.value, lam_c1 / lam_out),
+                    block.conv2.weight.value.scale(lam_c1 / lam_out),
                     Some(combined_bias),
                     block.conv2.geom,
                 )?;
                 let os_shortcut =
-                    SynapticOp::conv(scaled(&sh_weight, lam_pre / lam_out), None, sh_geom)?;
+                    SynapticOp::conv(sh_weight.scale(lam_pre / lam_out), None, sh_geom)?;
                 nodes.push(SpikingNode::Residual(SpikingResidual {
                     ns_op,
                     ns_neurons: IfNeurons::new(1.0, reset),

@@ -8,7 +8,7 @@ use std::path::Path;
 use tcl_nn::{
     evaluate as ann_evaluate, CheckpointConfig, Network, TrainConfig, TrainReport, Trainer,
 };
-use tcl_snn::{evaluate as snn_evaluate, Engine, EngineResult, ExitPolicy, SimConfig, SweepResult};
+use tcl_snn::{Engine, EngineResult, ExitPolicy, SimConfig, SweepResult};
 use tcl_tensor::Tensor;
 
 /// Outcome of converting one trained ANN and sweeping its SNN over a
@@ -68,7 +68,8 @@ pub fn train_resumable(
 
 /// Converts `net` with `converter` and evaluates both the ANN and the SNN
 /// on `(test_images, test_labels)`, using `calibration` for activation
-/// statistics.
+/// statistics: [`convert_and_evaluate_with`] on a fresh [`Engine`] with
+/// early exit off.
 ///
 /// # Errors
 ///
@@ -109,23 +110,21 @@ pub fn convert_and_evaluate(
     converter: &Converter,
     sim: &SimConfig,
 ) -> Result<ConversionReport> {
-    let _span = tcl_telemetry::span_with("pipeline.convert_eval", || {
-        vec![("samples", test_labels.len() as f64)]
-    });
-    let ann_accuracy = ann_evaluate(net, test_images, test_labels, sim.batch_size)?;
-    let Conversion { snn, lambdas, .. } = converter.convert(net, calibration)?;
-    let sweep = snn_evaluate(&snn, test_images, test_labels, sim)?;
-    if tcl_telemetry::metrics_enabled() {
-        tcl_telemetry::gauge_set("pipeline.ann_accuracy", f64::from(ann_accuracy));
-        if let Some(&(_, acc)) = sweep.accuracies.last() {
-            tcl_telemetry::gauge_set("pipeline.snn_accuracy", f64::from(acc));
-        }
-    }
+    let report = convert_and_evaluate_with(
+        &mut Engine::new(),
+        net,
+        calibration,
+        test_images,
+        test_labels,
+        converter,
+        sim,
+        ExitPolicy::Off,
+    )?;
     Ok(ConversionReport {
-        ann_accuracy,
-        sweep,
-        lambdas,
-        strategy_name: converter.strategy.name(),
+        ann_accuracy: report.ann_accuracy,
+        sweep: report.result.sweep,
+        lambdas: report.lambdas,
+        strategy_name: report.strategy_name,
     })
 }
 
@@ -145,11 +144,11 @@ pub struct EngineReport {
     pub strategy_name: String,
 }
 
-/// [`convert_and_evaluate`] on a caller-provided [`Engine`], under an
-/// explicit [`ExitPolicy`]. The engine's worker pool and cached replicas
-/// survive across calls, which is what the benchmark drivers want when they
-/// sweep many strategies over the same data; `ExitPolicy::Adaptive` turns on
-/// per-sample early exit.
+/// Converts `net` with `converter` and evaluates the ANN and, on a
+/// caller-provided [`Engine`] under an explicit [`ExitPolicy`], the SNN.
+/// The engine's worker pool and cached replicas survive across calls, which
+/// is what the benchmark drivers want when they sweep many strategies over
+/// the same data; `ExitPolicy::Adaptive` turns on per-sample early exit.
 ///
 /// # Errors
 ///

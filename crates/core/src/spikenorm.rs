@@ -14,14 +14,12 @@
 //! high-latency/high-accuracy baseline family; this module lets the same
 //! harnesses produce those rows via [`crate::NormStrategy::SpikeNorm`].
 
+use crate::convert::emit_spiking;
 use crate::error::{ConvertError, Result};
 use crate::fold::fold_batch_norm;
-use tcl_nn::layers::Shortcut;
-use tcl_nn::{Layer, Network};
-use tcl_snn::{
-    IfNeurons, ResetMode, SpikingLayer, SpikingNetwork, SpikingNode, SpikingResidual, SynapticOp,
-};
-use tcl_tensor::ops::ConvGeometry;
+use crate::stats::count_sites;
+use tcl_nn::Network;
+use tcl_snn::{IfNeurons, ResetMode, SpikingNetwork, SpikingNode};
 use tcl_tensor::{Shape, Tensor};
 
 /// Which neuron bank of a node is being balanced.
@@ -30,110 +28,6 @@ enum Bank {
     Main,
     ResidualNs,
     ResidualOs,
-}
-
-/// Emits an *unnormalized* spiking network (weights and biases copied
-/// verbatim from the folded ANN; thresholds start at 1).
-fn emit_unnormalized(folded: &Network, reset: ResetMode) -> Result<Vec<SpikingNode>> {
-    let layers = folded.layers();
-    let mut nodes = Vec::new();
-    let mut i = 0usize;
-    while i < layers.len() {
-        match &layers[i] {
-            Layer::Conv2d(conv) => {
-                nodes.push(SpikingNode::Spiking(SpikingLayer::new(
-                    SynapticOp::conv(
-                        conv.weight.value.clone(),
-                        conv.bias.as_ref().map(|b| b.value.clone()),
-                        conv.geom,
-                    )?,
-                    IfNeurons::new(1.0, reset),
-                )));
-                while matches!(
-                    layers.get(i + 1),
-                    Some(Layer::Relu(_)) | Some(Layer::Clip(_))
-                ) {
-                    i += 1;
-                }
-            }
-            Layer::Linear(linear) => {
-                nodes.push(SpikingNode::Spiking(SpikingLayer::new(
-                    SynapticOp::linear(
-                        linear.weight.value.clone(),
-                        linear.bias.as_ref().map(|b| b.value.clone()),
-                    )?,
-                    IfNeurons::new(1.0, reset),
-                )));
-                while matches!(
-                    layers.get(i + 1),
-                    Some(Layer::Relu(_)) | Some(Layer::Clip(_))
-                ) {
-                    i += 1;
-                }
-            }
-            Layer::Residual(block) => {
-                let c2_bias = block
-                    .conv2
-                    .bias
-                    .as_ref()
-                    .map(|b| b.value.clone())
-                    .unwrap_or_else(|| Tensor::zeros([block.conv2.out_channels()]));
-                let (sh_weight, sh_geom, sh_bias) = match &block.shortcut {
-                    Shortcut::Projection { conv, .. } => (
-                        conv.weight.value.clone(),
-                        conv.geom,
-                        conv.bias
-                            .as_ref()
-                            .map(|b| b.value.clone())
-                            .unwrap_or_else(|| Tensor::zeros([conv.out_channels()])),
-                    ),
-                    Shortcut::Identity => {
-                        let c = block.conv2.out_channels();
-                        let mut w = Tensor::zeros([c, c, 1, 1]);
-                        for ch in 0..c {
-                            w.data_mut()[ch * c + ch] = 1.0;
-                        }
-                        (w, ConvGeometry::square(1, 1, 0)?, Tensor::zeros([c]))
-                    }
-                };
-                nodes.push(SpikingNode::Residual(SpikingResidual {
-                    ns_op: SynapticOp::conv(
-                        block.conv1.weight.value.clone(),
-                        block.conv1.bias.as_ref().map(|b| b.value.clone()),
-                        block.conv1.geom,
-                    )?,
-                    ns_neurons: IfNeurons::new(1.0, reset),
-                    os_main: SynapticOp::conv(
-                        block.conv2.weight.value.clone(),
-                        Some(c2_bias.add(&sh_bias)?),
-                        block.conv2.geom,
-                    )?,
-                    os_shortcut: SynapticOp::conv(sh_weight, None, sh_geom)?,
-                    os_neurons: IfNeurons::new(1.0, reset),
-                }));
-            }
-            Layer::AvgPool2d(p) => nodes.push(SpikingNode::AvgPool {
-                kernel: p.kernel,
-                stride: p.stride,
-            }),
-            Layer::GlobalAvgPool(_) => nodes.push(SpikingNode::GlobalAvgPool),
-            Layer::Flatten(_) => nodes.push(SpikingNode::Flatten),
-            Layer::Dropout(_) => {} // identity at inference: emit nothing
-            Layer::Relu(_) | Layer::Clip(_) => {
-                return Err(ConvertError::Unsupported {
-                    detail: format!("activation at layer {i} is not preceded by a weighted layer"),
-                })
-            }
-            Layer::BatchNorm2d(_) => unreachable!("batch-norm was folded"),
-            Layer::MaxPool2d(_) => {
-                return Err(ConvertError::Unsupported {
-                    detail: "max pooling has no spiking implementation".into(),
-                })
-            }
-        }
-        i += 1;
-    }
-    Ok(nodes)
 }
 
 /// Resets nodes `0..=k`.
@@ -251,7 +145,10 @@ pub(crate) fn convert_spike_norm(
         });
     }
     let folded = fold_batch_norm(net)?;
-    let mut nodes = emit_unnormalized(&folded, reset)?;
+    // The unnormalized network: the shared emitter at λ = 1 copies every
+    // weight and bias bit for bit, thresholds start at 1.
+    let mut snn = emit_spiking(&folded, &vec![1.0; count_sites(&folded)], reset)?;
+    let nodes = snn.nodes_mut();
     let row = calibration.len() / n;
     let batch_n = calibration_batch.clamp(1, n);
     let mut bdims = calibration.dims().to_vec();
@@ -291,14 +188,13 @@ pub(crate) fn convert_spike_norm(
                 }
                 _ => unreachable!("banks listed only for weighted nodes"),
             }
-            let peak = measure_bank(&mut nodes, k, bank, &batch, timesteps)?;
-            set_threshold(&mut nodes, k, bank, peak, reset);
+            let peak = measure_bank(nodes, k, bank, &batch, timesteps)?;
+            set_threshold(nodes, k, bank, peak, reset);
             let thr = if peak > 1e-6 { peak } else { 1.0 };
             thresholds.push(thr);
             cum *= thr;
         }
     }
-    let mut snn = SpikingNetwork::new(nodes);
     snn.reset();
     Ok((snn, thresholds))
 }

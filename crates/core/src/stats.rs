@@ -208,27 +208,40 @@ where
     Ok(x)
 }
 
-/// Number of activation sites the walker will report for `net` (hidden
-/// sites plus the final output site).
-pub fn count_sites(net: &Network) -> usize {
-    let mut sites = 0usize;
+/// The clip bound of every hidden activation site, in walk order: `Some(λ)`
+/// where the site's group ends in a clipping layer, `None` for a bare ReLU.
+/// This is the site grammar [`walk_sites`] follows, read off the layers
+/// without running them.
+pub(crate) fn site_clips(net: &Network) -> Vec<Option<f32>> {
+    let mut out = Vec::new();
     let layers = net.layers();
     let mut i = 0usize;
     while i < layers.len() {
         match &layers[i] {
             Layer::Relu(_) => {
-                if matches!(layers.get(i + 1), Some(Layer::Clip(_))) {
+                if let Some(Layer::Clip(c)) = layers.get(i + 1) {
+                    out.push(Some(c.lambda_value()));
                     i += 1;
+                } else {
+                    out.push(None);
                 }
-                sites += 1;
             }
-            Layer::Clip(_) => sites += 1,
-            Layer::Residual(_) => sites += 2,
+            Layer::Clip(c) => out.push(Some(c.lambda_value())),
+            Layer::Residual(r) => {
+                out.push(r.clip1.as_ref().map(|c| c.lambda_value()));
+                out.push(r.clip_out.as_ref().map(|c| c.lambda_value()));
+            }
             _ => {}
         }
         i += 1;
     }
-    sites + 1 // output site
+    out
+}
+
+/// Number of activation sites the walker will report for `net` (hidden
+/// sites plus the final output site).
+pub fn count_sites(net: &Network) -> usize {
+    site_clips(net).len() + 1
 }
 
 /// Runs `net` (evaluation mode) over `images` in batches and returns one

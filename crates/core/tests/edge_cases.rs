@@ -205,3 +205,35 @@ fn converter_skips_dropout_layers() {
         snn.step(&x).unwrap();
     }
 }
+
+#[test]
+fn every_strategy_refuses_a_hidden_layer_without_activation() {
+    // The first convolution feeds the second directly: no activation site
+    // sits between them, so there is no λ to normalize it with. Every
+    // strategy builds its spiking network through the same emitter, so
+    // SpikeNorm refuses the net exactly as the others do.
+    let mut rng = SeededRng::new(9);
+    let net = Network::new(vec![
+        Layer::Conv2d(Conv2d::new(3, 2, 3, 1, 1, true, &mut rng).unwrap()),
+        Layer::Conv2d(Conv2d::new(2, 2, 3, 1, 1, true, &mut rng).unwrap()),
+        Layer::Relu(Relu::new()),
+        Layer::Clip(Clip::new(2.0)),
+        Layer::Flatten(Flatten::new()),
+        Layer::Linear(Linear::new(2 * 4 * 4, 3, true, &mut rng).unwrap()),
+    ]);
+    let calibration = rng.uniform_tensor([4, 3, 4, 4], -1.0, 1.0);
+    for strategy in [
+        NormStrategy::TrainedClip,
+        NormStrategy::MaxActivation,
+        NormStrategy::percentile_999(),
+        NormStrategy::SpikeNorm,
+    ] {
+        let err = Converter::new(strategy)
+            .convert(&net, &calibration)
+            .unwrap_err();
+        assert!(
+            matches!(err, tcl_core::ConvertError::Unsupported { .. }),
+            "{strategy:?}: {err}"
+        );
+    }
+}

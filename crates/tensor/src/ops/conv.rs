@@ -1082,47 +1082,6 @@ pub fn conv2d_backward(
     })
 }
 
-/// Reference direct (nested-loop) convolution used to validate the im2col
-/// path in tests and property checks. Slow; not for production use.
-///
-/// # Errors
-///
-/// As for [`conv2d`].
-pub fn conv2d_naive(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    geom: ConvGeometry,
-) -> Result<Tensor> {
-    let (n, c, h, w) = input.shape().as_nchw()?;
-    let (out_c, _, kh, kw) = weight.shape().as_nchw()?;
-    let (out_h, out_w) = geom.output_hw(h, w)?;
-    let mut out = Tensor::zeros([n, out_c, out_h, out_w]);
-    for ni in 0..n {
-        for oc in 0..out_c {
-            for oh in 0..out_h {
-                for ow in 0..out_w {
-                    let mut acc = bias.map_or(0.0, |b| b.at(oc));
-                    for ic in 0..c {
-                        for ki in 0..kh {
-                            for kj in 0..kw {
-                                let ih = (oh * geom.stride + ki) as isize - geom.padding as isize;
-                                let iw = (ow * geom.stride + kj) as isize - geom.padding as isize;
-                                if ih >= 0 && iw >= 0 && (ih as usize) < h && (iw as usize) < w {
-                                    acc += input.at4(ni, ic, ih as usize, iw as usize)
-                                        * weight.at4(oc, ic, ki, kj);
-                                }
-                            }
-                        }
-                    }
-                    out.set4(ni, oc, oh, ow, acc);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1154,22 +1113,6 @@ mod tests {
         let g = ConvGeometry::square(1, 1, 0).unwrap();
         let y = conv2d(&x, &w, None, g).unwrap();
         assert_eq!(y.data(), x.data());
-    }
-
-    #[test]
-    fn matches_naive_reference_with_padding_and_stride() {
-        let x = Tensor::from_fn([2, 3, 7, 6], |i| ((i * 37 % 17) as f32 - 8.0) * 0.25);
-        let w = Tensor::from_fn([4, 3, 3, 3], |i| ((i * 13 % 11) as f32 - 5.0) * 0.1);
-        let b = Tensor::from_slice(&[0.5, -0.5, 0.25, 0.0]);
-        for (stride, pad) in [(1, 0), (1, 1), (2, 1), (2, 0), (3, 2)] {
-            let g = ConvGeometry::square(3, stride, pad).unwrap();
-            let fast = conv2d(&x, &w, Some(&b), g).unwrap();
-            let slow = conv2d_naive(&x, &w, Some(&b), g).unwrap();
-            assert!(
-                fast.max_abs_diff(&slow).unwrap() < 1e-4,
-                "stride={stride} pad={pad}"
-            );
-        }
     }
 
     #[test]

@@ -9,10 +9,9 @@ mod pool;
 mod reduce;
 
 pub use conv::{
-    col2im_single, conv2d, conv2d_backward, conv2d_naive, conv2d_spikes, conv2d_weighted_events,
-    im2col_single, im2col_transposed_single, spike_conv_applies, spike_conv_fits,
-    weighted_conv_applies, Conv2dGradients, ConvGeometry, ConvTaps, SpikeScan,
-    WEIGHTED_EVENT_DENSITY,
+    col2im_single, conv2d, conv2d_backward, conv2d_spikes, conv2d_weighted_events, im2col_single,
+    im2col_transposed_single, spike_conv_applies, spike_conv_fits, weighted_conv_applies,
+    Conv2dGradients, ConvGeometry, ConvTaps, SpikeScan, WEIGHTED_EVENT_DENSITY,
 };
 pub use matmul::{
     matmul, matmul_into, matmul_into_naive, matmul_into_packed, matmul_into_sparse,

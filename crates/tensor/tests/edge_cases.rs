@@ -1,8 +1,27 @@
 //! Edge-case integration tests for the tensor kernels: non-square
 //! geometries, extreme values, and empty inputs.
 
+mod support;
+
+use support::conv2d_naive;
 use tcl_tensor::ops::{self, ConvGeometry};
 use tcl_tensor::{SeededRng, Tensor};
+
+#[test]
+fn matches_naive_reference_with_padding_and_stride() {
+    let x = Tensor::from_fn([2, 3, 7, 6], |i| ((i * 37 % 17) as f32 - 8.0) * 0.25);
+    let w = Tensor::from_fn([4, 3, 3, 3], |i| ((i * 13 % 11) as f32 - 5.0) * 0.1);
+    let b = Tensor::from_slice(&[0.5, -0.5, 0.25, 0.0]);
+    for (stride, pad) in [(1, 0), (1, 1), (2, 1), (2, 0), (3, 2)] {
+        let g = ConvGeometry::square(3, stride, pad).unwrap();
+        let fast = ops::conv2d(&x, &w, Some(&b), g).unwrap();
+        let slow = conv2d_naive(&x, &w, Some(&b), g).unwrap();
+        assert!(
+            fast.max_abs_diff(&slow).unwrap() < 1e-4,
+            "stride={stride} pad={pad}"
+        );
+    }
+}
 
 #[test]
 fn non_square_kernels_match_naive() {
@@ -11,7 +30,7 @@ fn non_square_kernels_match_naive() {
     let w = rng.uniform_tensor([3, 2, 1, 5], -1.0, 1.0);
     let geom = ConvGeometry::new(1, 5, 1, 2).unwrap();
     let fast = ops::conv2d(&x, &w, None, geom).unwrap();
-    let slow = ops::conv2d_naive(&x, &w, None, geom).unwrap();
+    let slow = conv2d_naive(&x, &w, None, geom).unwrap();
     assert!(fast.max_abs_diff(&slow).unwrap() < 1e-4);
     // Symmetric padding of 2 also pads the height, so H grows: 6+2·2-1+1.
     assert_eq!(fast.dims(), &[1, 3, 10, 9]);

@@ -5,7 +5,10 @@
 //! the exact adjoint of im2col, matmul must distribute over addition, and
 //! histogram mass must be conserved.
 
+mod support;
+
 use proptest::prelude::*;
+use support::conv2d_naive;
 use tcl_tensor::ops::{self, ConvGeometry};
 use tcl_tensor::{Histogram, SeededRng, Tensor};
 
@@ -34,7 +37,7 @@ proptest! {
         let wt = small_tensor(vec![cout, cin, 3, 3], seed.wrapping_add(1));
         let b = small_tensor(vec![cout], seed.wrapping_add(2));
         let fast = ops::conv2d(&x, &wt, Some(&b), geom).unwrap();
-        let slow = ops::conv2d_naive(&x, &wt, Some(&b), geom).unwrap();
+        let slow = conv2d_naive(&x, &wt, Some(&b), geom).unwrap();
         prop_assert!(fast.max_abs_diff(&slow).unwrap() < 1e-3);
     }
 
